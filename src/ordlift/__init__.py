@@ -20,7 +20,11 @@ from ordlift.arith import (
     radical,
     valuation,
 )
-from ordlift.errors import InvalidPairError, NotCoprimeError
+from ordlift.errors import (
+    FactorizationBudgetError,
+    InvalidPairError,
+    NotCoprimeError,
+)
 from ordlift.lifting import (
     BasePair,
     LawResult,
@@ -65,6 +69,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BasePair",
     "Factorization",
+    "FactorizationBudgetError",
     "InvalidPairError",
     "LawResult",
     "NotCoprimeError",

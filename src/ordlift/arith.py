@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from ordlift.errors import FactorizationBudgetError
+
 __all__ = [
     "Factorization",
     "divisors",
@@ -25,7 +27,18 @@ __all__ = [
 ]
 
 # Trial division handles everything below this squared; Pollard rho takes over.
-_TRIAL_LIMIT = 1 << 20
+# Chosen by a sweep over 2^8..2^16 (2-core x86-64 VM, Python 3.11, minimum of
+# nine interleaved runs): the cold wide-moduli benchmark pass took 65-80 ms
+# for every limit up to 2^13, then 78, 107 and 108 ms at 2^14..2^16; order_fast
+# on 200 random odd 64-bit n took 0.35-0.36 s at 2^8..2^10, 0.43-0.44 s at
+# 2^11..2^13, then 0.64, 0.75 and 1.1 s.  2^10 sits inside both flat ranges.
+_TRIAL_LIMIT = 1 << 10
+
+# Pollard rho steps (evaluations of y -> y*y + c, all restarts together)
+# allowed per split before FactorizationBudgetError.  The costliest split in
+# the benchmark's wide moduli, 474349721 * 6652754837 inside psi12 - 1, takes
+# 103,166 steps, 20x under this; a 60-bit prime factor would need about 2^31.
+_RHO_BUDGET = 1 << 21
 
 # Deterministic Miller-Rabin witness set, valid for every n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -78,13 +91,20 @@ def is_prime(n: int) -> bool:
 def _pollard_rho(n: int) -> int:
     """Nontrivial factor of an odd composite n, via Brent's cycle finding.
 
-    Deterministic restart sequence keeps factorizations reproducible.
+    Deterministic restart sequence keeps factorizations reproducible.  Raises
+    FactorizationBudgetError rather than let the steps of all restarts
+    together pass _RHO_BUDGET.
     """
     c = 1
+    steps = 0
     while True:
         y, r, q = 2, 1, 1
         g, x, ys = 1, 0, 0
         while g == 1:
+            if steps + 2 * r > _RHO_BUDGET:  # a round takes up to 2r steps
+                raise FactorizationBudgetError(
+                    f"no factor of {n} within {_RHO_BUDGET} Pollard rho steps"
+                )
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -96,6 +116,7 @@ def _pollard_rho(n: int) -> int:
                     q = q * abs(x - y) % n
                 g = math.gcd(q, n)
                 k += 128
+            steps += r + min(k, r)
             r <<= 1
         if g == n:
             g = 1
@@ -107,11 +128,30 @@ def _pollard_rho(n: int) -> int:
         c += 1
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _split(n: int, exps: dict[int, int], mult: int = 1) -> None:
     """Recursively split a cofactor that survived trial division."""
     if is_prime(n):
         exps[n] = exps.get(n, 0) + mult
         return
+    # Rho needs about sqrt(p) steps to split p**k, so roots are taken first.
+    # Every prime of n exceeds _TRIAL_LIMIT = 2**t, so n = m**k has k <=
+    # (bits(n) - 1) / t.
+    t = _TRIAL_LIMIT.bit_length() - 1
+    for k in range(2, (n.bit_length() - 1) // t + 1):
+        root = _iroot(n, k)
+        if root**k == n:
+            _split(root, exps, mult * k)
+            return
     d = _pollard_rho(n)
     e = 0
     while n % d == 0:

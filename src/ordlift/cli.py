@@ -5,7 +5,9 @@ CSV or JSON, ``verify`` for the law sweep, and ``steinhaus`` for triangle
 inspection and balanced-progression search.
 
 Exit codes: 0 on success, 1 on domain errors (non-coprime arguments, even
-modulus for the search, law violations), 2 on usage errors.
+modulus for the search, law violations) and arithmetic failures (a modulus
+Pollard rho cannot split within its budget, a factor that passed the
+primality test but is composite), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import json
 import math
 import sys
 
-from ordlift.errors import InvalidPairError, NotCoprimeError
 from ordlift.lifting import (
     alpha_fast,
     beta_fast,
@@ -201,7 +202,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (NotCoprimeError, InvalidPairError, ValueError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

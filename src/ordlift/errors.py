@@ -19,3 +19,7 @@ class InvalidPairError(ValueError):
     def __init__(self, message: str, reason: str):
         super().__init__(message)
         self.reason = reason
+
+
+class FactorizationBudgetError(ArithmeticError):
+    """Pollard rho used up its step budget without splitting a cofactor."""

@@ -1,4 +1,5 @@
-"""Reduction of order computations to the square-free core of the modulus.
+"""The paper's reduction of order computations to the square-free core of
+the modulus, as an explicit API, and the law sweep that checks it.
 
 When n2 divides n1, carries every prime of n1, and additionally carries a
 second factor of 2 whenever 4 | n1, the order of a mod n1 equals the order
@@ -8,10 +9,11 @@ factor of 2 breaks the formula: (n1, n2) = (24, 6) with a = 7 yields 4 from
 the raw formula while the true order is 2, which is why pair validation is
 an error and not a silent fallback.
 
-This module validates such pairs, applies the exact transfer formulas, the
-prime-power shortcuts, and the fast total evaluators routed through the
-(possibly doubled) radical, and sweeps all of these laws against direct
-computation in ``verify_claims``.
+This module validates such pairs, applies the transfer formulas and the
+prime-power shortcuts, and sweeps all of these laws in ``verify_claims``
+against the phi-stripping reference and the scan oracles.  The order engine
+in ``orders`` applies the same lifting prime by prime, so the *_fast names
+are the engine's functions themselves; no BasePair is built on that path.
 """
 
 from __future__ import annotations
@@ -29,12 +31,13 @@ from ordlift.arith import (
 )
 from ordlift.errors import InvalidPairError, NotCoprimeError
 from ordlift.orders import (
-    _order_value,
+    _order_phi,
     alpha,
     alpha_oracle,
     beta,
     beta_oracle,
     mult_order,
+    proj_order,
     remainder_gcd,
 )
 
@@ -96,7 +99,7 @@ def make_base_pair(n1: int, n2: int) -> BasePair:
             f"invalid pair ({n1}, {n2}): radical {rad} does not divide {n2}",
             InvalidPairError.REASON_RADICAL,
         )
-    if valuation(n1, 2) <= 1:
+    if n1 % 4:
         return BasePair(n1, n2, TwoAdicCase.SMALL)
     if n2 % (2 * rad):
         raise InvalidPairError(
@@ -110,7 +113,7 @@ def make_base_pair(n1: int, n2: int) -> BasePair:
 def canonical_base(n: int) -> int:
     """rad(n), doubled when 4 | n; (n, canonical_base(n)) is always valid."""
     rad = radical(n)
-    return rad if valuation(n, 2) <= 1 else 2 * rad
+    return rad if n % 4 else 2 * rad
 
 
 def admissible_bases(n1: int) -> list[int]:
@@ -156,39 +159,17 @@ def lift_beta(pair: BasePair, a: int) -> int:
     return _lift_quotient(pair, a, b2)
 
 
-def alpha_fast(a: int, n: int) -> int:
-    """alpha via the square-free core; total (0 when gcd(a, n) != 1)."""
-    if n < 1:
-        raise ValueError(f"alpha_fast requires n >= 1, got {n}")
-    if math.gcd(a, n) != 1:
-        return 0
-    return lift_alpha(make_base_pair(n, canonical_base(n)), a)
-
-
-def beta_fast(a: int, n: int) -> int:
-    """beta via the square-free core; total (0 when gcd(a, n) != 1)."""
-    if n < 1:
-        raise ValueError(f"beta_fast requires n >= 1, got {n}")
-    if math.gcd(a, n) != 1:
-        return 0
-    return lift_beta(make_base_pair(n, canonical_base(n)), a)
+# The engine behind alpha, beta and proj_order already reduces every prime
+# power to its base modulus, so the fast route is the direct function.
+alpha_fast = alpha
+beta_fast = beta
+proj_order_fast = proj_order
 
 
 def order_fast(a: int, n: int) -> int:
-    """Multiplicative order via the square-free core (NotCoprimeError if not)."""
-    if n < 1:
-        raise ValueError(f"order_fast requires n >= 1, got {n}")
-    if math.gcd(a, n) != 1:
-        raise NotCoprimeError(f"multiplicative order undefined: gcd({a}, {n}) != 1")
-    return lift_order(make_base_pair(n, canonical_base(n)), a)
-
-
-def proj_order_fast(a: int, n: int) -> int:
-    """Projective order via the square-free core (NotCoprimeError if not)."""
-    d = order_fast(a, n)
-    if n > 2 and d % 2 == 0 and pow(a % n, d // 2, n) == n - 1:
-        return d // 2
-    return d
+    """Multiplicative order of a mod n as an int (NotCoprimeError if not
+    coprime); the order of ``mult_order`` without its record."""
+    return mult_order(a, n).order
 
 
 def alpha_prime_power(a: int, p: int, k: int) -> int:
@@ -290,6 +271,27 @@ def _divides(d: int, x: int) -> bool:
     return x % d == 0
 
 
+def _alpha_phi(a: int, n: int) -> int:
+    """alpha from the phi-stripping reference; 0 when gcd(a, n) != 1."""
+    r = a % n
+    if math.gcd(r, n) != 1:
+        return 0
+    d = _order_phi(r, n)
+    return d // math.gcd(d, n)
+
+
+def _beta_phi(a: int, n: int) -> int:
+    """beta as the projective order of a**n, from the phi-stripping reference."""
+    r = a % n
+    if math.gcd(r, n) != 1:
+        return 0
+    b = pow(r, n, n)
+    d = _order_phi(b, n)
+    if n > 2 and d % 2 == 0 and pow(b, d // 2, n) == n - 1:
+        return d // 2
+    return d
+
+
 def _check_range(args: tuple[int, int, int, int]) -> list[tuple]:
     """Run every law for n1 in [lo, hi]; returns per-law tallies in order."""
     lo, hi, n_max, a_max = args
@@ -304,21 +306,21 @@ def _check_range(args: tuple[int, int, int, int]) -> list[tuple]:
         for n2 in admissible_bases(n1):
             pair = make_base_pair(n1, n2)
             for a in coprime_as:
-                direct = _order_value(a % n1, n1)
+                direct = _order_phi(a % n1, n1)
                 got = lift_order(pair, a)
                 t["order-lift-exact"].checked += 1
                 if got != direct:
                     t["order-lift-exact"].fail(
                         f"n1={n1} n2={n2} a={a}: lifted {got} != direct {direct}"
                     )
-                da = alpha(a, n1)
+                da = _alpha_phi(a, n1)
                 ga = lift_alpha(pair, a)
                 t["alpha-lift-exact"].checked += 1
                 if ga != da:
                     t["alpha-lift-exact"].fail(
                         f"n1={n1} n2={n2} a={a}: lifted {ga} != direct {da}"
                     )
-                db = beta(a, n1)
+                db = _beta_phi(a, n1)
                 gb = lift_beta(pair, a)
                 t["beta-lift-exact"].checked += 1
                 if gb != db:
@@ -326,9 +328,10 @@ def _check_range(args: tuple[int, int, int, int]) -> list[tuple]:
                         f"n1={n1} n2={n2} a={a}: lifted {gb} != direct {db}"
                     )
 
-        # Three independent routes to alpha and beta must agree, for all a.
+        # Three independent routes to alpha and beta must agree, for all a:
+        # phi-stripping, the order engine and the exponent scan.
         for a in range(1, a_max + 1):
-            da = alpha(a, n1)
+            da = _alpha_phi(a, n1)
             fa = alpha_fast(a, n1)
             oa = alpha_oracle(a, n1)
             t["alpha-routes-agree"].checked += 1
@@ -336,7 +339,7 @@ def _check_range(args: tuple[int, int, int, int]) -> list[tuple]:
                 t["alpha-routes-agree"].fail(
                     f"n={n1} a={a}: direct {da}, fast {fa}, oracle {oa}"
                 )
-            db = beta(a, n1)
+            db = _beta_phi(a, n1)
             fb = beta_fast(a, n1)
             ob = beta_oracle(a, n1)
             t["beta-routes-agree"].checked += 1
@@ -437,12 +440,12 @@ def _check_range(args: tuple[int, int, int, int]) -> list[tuple]:
                 r = a % p
                 if r == 0 or r == 1 or r == p - 1:
                     continue
-                d = _order_value(r, p)
+                d = _order_phi(r, p)
                 k_cap = _PRIME_POWER_MAX_K + 1
                 k0 = valuation(remainder_gcd(a, p, p**k_cap), p)
                 for k in range(1, _PRIME_POWER_MAX_K + 1):
                     expect = d * p ** max(0, k - k0)
-                    got = _order_value(a % p**k, p**k)
+                    got = _order_phi(a % p**k, p**k)
                     t["prime-power-order-growth"].checked += 1
                     if got != expect:
                         t["prime-power-order-growth"].fail(
@@ -467,8 +470,8 @@ def _check_range(args: tuple[int, int, int, int]) -> list[tuple]:
         if n1 == 24:
             # The raw transfer formula applied to the rejected pair (24, 6)
             # with a = 7 must give 4 while the true order is 2.
-            raw = _order_value(7 % 6, 6) * (24 // remainder_gcd(7, 6, 24))
-            direct = _order_value(7, 24)
+            raw = _order_phi(7 % 6, 6) * (24 // remainder_gcd(7, 6, 24))
+            direct = _order_phi(7, 24)
             t["rejected-pair-guard"].checked += 1
             if not (raw == 4 and direct == 2):
                 t["rejected-pair-guard"].fail(

@@ -1,10 +1,22 @@
 """Multiplicative and projective orders modulo n, and the derived functions
 alpha (order of a**n mod n) and beta (projective order of a**n mod n).
 
-The library path computes orders by factoring phi(n) and stripping prime
-factors, so it costs a handful of modular exponentiations.  The *_oracle
-functions recompute alpha and beta by literal exponent iteration instead;
-they exist so sweeps and tests can cross-check the two routes.
+Every order comes from one engine, ``_order_value``, the CRT order algorithm
+over a single factorization of n.  For each prime power p**k of n it finds
+the order d mod p by stripping the factors of p - 1, lifts it to p**k with
+the paper's growth law d * p**max(0, k - k0), where p**k0 = gcd(r**d - 1,
+p**k), and takes the lcm over the prime powers.  For p = 2 and k >= 2 it
+starts from the order mod 4, the base modulus the lifting needs when 4 | n.
+alpha is d / gcd(d, n), and beta is alpha halved when (a**n)**(alpha/2) is
+-1 mod n.
+
+Two independent routes stay for checking: ``_order_phi`` strips the prime
+factors of phi(n) from phi(n), the reference ``verify_claims`` and the tests
+hold the engine to, and the *_oracle functions recompute alpha and beta by
+literal exponent iteration.  Both routes test their congruence before
+stripping (r**(p - 1) = 1 mod p for each prime, r**phi(n) = 1 mod n), so a
+composite factor that passed the primality test raises ArithmeticError
+instead of giving a wrong order.
 
 a**order(a) - 1 is a multiple of n that the lifting formulas consume, but it
 is never materialized: ``remainder_gcd`` extracts the needed gcd from a
@@ -19,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ordlift import _backend
-from ordlift.arith import euler_phi, factorize
+from ordlift.arith import factorize
 from ordlift.errors import InvalidPairError, NotCoprimeError
 
 __all__ = [
@@ -43,13 +55,60 @@ class OrderRecord:
     order: int
 
 
+def _composite(p: int, n: int) -> ArithmeticError:
+    return ArithmeticError(
+        f"factor {p} of {n} is not prime: it fails Fermat's test"
+    )
+
+
 @lru_cache(maxsize=1 << 20)
 def _order_value(r: int, n: int) -> int:
     """Order of the reduced residue r mod n; caller guarantees gcd(r, n) = 1."""
+    order = 1
+    for p, k in factorize(n).factors:
+        if p == 2:
+            if k == 1:
+                continue
+            base, d = 4, 1 if r % 4 == 1 else 2
+        else:
+            base, d = p, p - 1
+            rp = r % p
+            if pow(rp, d, p) != 1:
+                raise _composite(p, n)
+            for q, _ in factorize(d).factors:
+                while d % q == 0 and pow(rp, d // q, p) == 1:
+                    d //= q
+        pk = p**k
+        if pk != base:
+            # gcd(r**d - 1, p**k) = p**min(k0, k), so this is p**max(0, k - k0).
+            d *= pk // math.gcd(pow(r, d, pk) - 1, pk)
+        order = math.lcm(order, d)
+    return order
+
+
+@lru_cache(maxsize=1 << 16)
+def _order_phi(r: int, n: int) -> int:
+    """Order of r mod n by stripping prime factors from phi(n); the reference
+    route, independent of the engine's lifting.  Caller guarantees
+    gcd(r, n) = 1.
+
+    phi(n) and its factorization are assembled from the factors of n and of
+    each p - 1, so phi(n) itself is never factored.
+    """
     if n == 1:
         return 1
-    e = euler_phi(n)
-    for q, _ in factorize(e).factors:
+    fn = factorize(n).factors
+    e = 1
+    exps: dict[int, int] = {}
+    for p, k in fn:
+        e *= (p - 1) * p ** (k - 1)
+        if k > 1:
+            exps[p] = exps.get(p, 0) + k - 1
+        for q, j in factorize(p - 1).factors:
+            exps[q] = exps.get(q, 0) + j
+    if pow(r, e, n) != 1:
+        raise _composite(next(p for p, k in fn if pow(r, e, p**k) != 1), n)
+    for q in exps:
         while e % q == 0 and pow(r, e // q, n) == 1:
             e //= q
     return e
@@ -67,8 +126,8 @@ def _reduced_coprime(a: int, n: int, what: str) -> int:
 def mult_order(a: int, n: int) -> OrderRecord:
     """Multiplicative order of a mod n, for a coprime to n.
 
-    Starts from phi(n) and strips prime factors while the congruence still
-    holds, rather than scanning exponents one by one.
+    Raises ArithmeticError when a factor of n that passed the primality test
+    turns out composite.
     """
     r = _reduced_coprime(a, n, "multiplicative order")
     return OrderRecord(n, r, _order_value(r, n))
@@ -124,13 +183,17 @@ def alpha(a: int, n: int) -> int:
 
 
 def beta(a: int, n: int) -> int:
-    """Projective order of a**n mod n when gcd(a, n) = 1, else 0."""
+    """Projective order of a**n mod n when gcd(a, n) = 1, else 0.
+
+    a**n has order alpha(a, n), so its projective order is alpha / 2 when
+    alpha is even and (a**n)**(alpha/2) = -1 mod n with n > 2, else alpha.
+    """
     if n < 1:
         raise ValueError(f"beta requires n >= 1, got {n}")
-    r = a % n
-    if math.gcd(r, n) != 1:
-        return 0
-    return proj_order(pow(r, n, n), n)
+    h = alpha(a, n)
+    if h and h % 2 == 0 and n > 2 and pow(a, n * (h // 2), n) == n - 1:
+        return h // 2
+    return h
 
 
 def alpha_oracle(a: int, n: int) -> int:

@@ -17,12 +17,16 @@ import pytest
 from ordlift.cli import main as cli_main
 from ordlift.errors import InvalidPairError
 from ordlift.lifting import (
+    _alpha_phi,
+    _beta_phi,
     admissible_bases,
     alpha_fast,
     beta_fast,
     make_base_pair,
 )
 from ordlift.orders import (
+    _order_phi,
+    _order_value,
     alpha,
     alpha_oracle,
     beta,
@@ -104,22 +108,29 @@ def test_criterion_04_counterexample_fidelity():
 
 
 def test_criterion_05_oracle_equivalence_sweep():
+    # n <= 2000 holds every 2-adic shape 2**k * m with k <= 10.  Three
+    # independent routes: the order engine, phi-stripping and the scan.
     t0 = time.perf_counter()
     mismatches = 0
     for n in range(1, 2001):
         for a in range(-50, 51):
             da = alpha(a, n)
-            if alpha_fast(a, n) != da or alpha_oracle(a, n) != da:
+            if (alpha_fast(a, n) != da or alpha_oracle(a, n) != da
+                    or _alpha_phi(a, n) != da):
                 mismatches += 1
             db = beta(a, n)
-            if beta_fast(a, n) != db or beta_oracle(a, n) != db:
+            if (beta_fast(a, n) != db or beta_oracle(a, n) != db
+                    or _beta_phi(a, n) != db):
+                mismatches += 1
+            r = a % n
+            if math.gcd(r, n) == 1 and _order_value(r, n) != _order_phi(r, n):
                 mismatches += 1
     elapsed = time.perf_counter() - t0
     ok = mismatches == 0 and elapsed < 60.0
     report(
         5, ok,
-        f"alpha/beta fast = direct = oracle for n <= 2000, |a| <= 50 "
-        f"({mismatches} mismatches)",
+        f"alpha/beta fast = direct = phi reference = oracle and order engine = "
+        f"phi reference for n <= 2000, |a| <= 50 ({mismatches} mismatches)",
         elapsed,
     )
 

@@ -75,6 +75,11 @@ def test_factorize_beyond_trial_division():
     assert factorize(p * p).factors == ((p, 2),)
     assert factorize(p * q).factors == ((p, 1), (q, 1))
     assert factorize(2**62).factors == ((2, 62),)
+    # Powers of a large prime are split by integer roots; Pollard rho would
+    # need about 2**25 steps for them.
+    big = 1125899906842679  # nextprime(2**50)
+    assert factorize(big**2).factors == ((big, 2),)
+    assert factorize(big**3 * 1031**2).factors == ((1031, 2), (big, 3))
 
 
 def test_is_prime_small():

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -54,6 +55,19 @@ def test_eval_noncoprime_order_is_domain_error():
     assert code == 1
     assert out == ""
     assert "gcd" in err
+
+
+def test_eval_arithmetic_failures_exit_1():
+    # nextprime(2**60) * nextprime(2**61): Pollard rho runs out of budget.
+    t0 = time.perf_counter()
+    code, out, err = run_cli("eval", "order", "2", "2658455991569831839194255993715294703")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Pollard rho" in err
+    assert time.perf_counter() - t0 < 5.0
+    # A strong pseudoprime to the bases 2..37 that base 41 exposes.
+    code, out, err = run_cli("eval", "order", "41", "318665857834031151167461")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "not prime" in err
 
 
 def test_eval_usage_errors_exit_2():

@@ -1,11 +1,14 @@
 """Tests for pair validation, the lifting formulas, and the law sweep."""
 
 import math
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordlift import arith, orders
 from ordlift.arith import radical, valuation
 from ordlift.errors import InvalidPairError, NotCoprimeError
 from ordlift.lifting import (
@@ -180,6 +183,25 @@ def test_order_fast_matches_and_rejects():
         order_fast(4, 10)
     with pytest.raises(NotCoprimeError):
         proj_order_fast(4, 10)
+
+
+def test_order_fast_random_64_bit_cold():
+    # 200 random odd 64-bit moduli with every cache empty: the factorization
+    # of n and of each p - 1 dominates.
+    rng = random.Random(64)
+    cases = []
+    while len(cases) < 200:
+        n = rng.getrandbits(64) | (1 << 63) | 1
+        a = rng.randrange(2, 1000)
+        if math.gcd(a, n) == 1:
+            cases.append((a, n))
+    arith._factor_pairs.cache_clear()
+    orders._order_value.cache_clear()
+    t0 = time.perf_counter()
+    for a, n in cases:
+        d = order_fast(a, n)
+        assert pow(a, d, n) == 1
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_alpha_prime_power_known_values():

@@ -1,6 +1,7 @@
 """Tests for multiplicative/projective orders and the alpha/beta functions."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from ordlift.arith import euler_phi, factorize
 from ordlift.errors import InvalidPairError, NotCoprimeError
 from ordlift.orders import (
+    _order_phi,
+    _order_value,
     alpha,
     alpha_oracle,
     beta,
@@ -17,6 +20,10 @@ from ordlift.orders import (
     proj_order,
     remainder_gcd,
 )
+
+# A strong pseudoprime to every base 2..37 (Sorenson-Webster 2015), so
+# is_prime accepts it: 399165290221 * 798330580441.
+PSI12 = 318665857834031151167461
 
 coprime_pairs = st.tuples(st.integers(-200, 200), st.integers(1, 400)).filter(
     lambda t: math.gcd(t[0], t[1]) == 1
@@ -29,6 +36,74 @@ def test_mult_order_known_values():
     assert mult_order(0, 1).order == 1
     assert mult_order(5, 1).order == 1
     assert mult_order(1, 100).order == 1
+
+
+def test_pseudoprime_modulus_raises_instead_of_a_non_order():
+    # 41 is not a Fermat liar for PSI12, so the engine and the phi reference
+    # both see that the "prime" is composite.
+    for order_of in (_order_value, _order_phi):
+        with pytest.raises(ArithmeticError, match=str(PSI12)):
+            order_of(41, PSI12)
+    with pytest.raises(ArithmeticError):
+        mult_order(41, PSI12)
+    # 2 and 3 are liars: every order divides PSI12 - 1, so stripping its
+    # factors still finds the true order, lcm(ord mod 399165290221,
+    # ord mod 798330580441).
+    assert mult_order(2, PSI12).order == 133055096740
+    assert mult_order(3, PSI12).order == 199582645110
+
+
+def _is_prime_64(n):
+    """Miller-Rabin with the seven bases that are deterministic below 2**64."""
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 325, 9375, 28178, 450775, 9780504, 1795265022):
+        x = pow(a, d, n)
+        if x in (0, 1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _random_prime(rng, bits):
+    """A random odd prime of exactly ``bits`` >= 2 bits."""
+    while True:
+        p = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        if _is_prime_64(p):
+            return p
+
+
+def test_random_products_factor_and_match_phi_reference():
+    # Products of up to 64 bits of locally generated primes with exponents
+    # up to 3: factorize must return exactly the generating primes, and the
+    # engine must equal the phi-stripping reference.
+    rng = random.Random(20091)
+    for _ in range(150):
+        factors = {}
+        n = 1
+        for _ in range(rng.randint(1, 4)):
+            p = _random_prime(rng, rng.randint(2, 34))
+            k = rng.randint(1, 3)
+            if p in factors or (n * p**k).bit_length() > 64:
+                continue
+            factors[p] = k
+            n *= p**k
+        assert factorize(n).factors == tuple(sorted(factors.items()))
+        for _ in range(3):
+            r = rng.randrange(1, n + 1) % n
+            if math.gcd(r, n) == 1:
+                assert _order_value(r, n) == _order_phi(r, n)
 
 
 def test_mult_order_rejects_noncoprime():
