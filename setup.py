@@ -1,44 +1,15 @@
 """Build script for the optional compiled kernels.
 
-The package is pure Python plus one Cython extension for the hot loops.
-If Cython or a C compiler is missing the install still succeeds and the
-pure-Python kernels are used instead.
+``ordlift._kernels`` is compiled from the shipped, Cython-generated
+``src/ordlift/_kernels.c``; no Cython is needed.  The extension is optional:
+without a working C compiler the build warns, skips it, and ordlift uses the
+pure-Python kernels.
 """
 
 from setuptools import Extension, setup
-from setuptools.command.build_ext import build_ext
 
-
-class OptionalBuildExt(build_ext):
-    """Build the extension if possible, warn and continue if not."""
-
-    def run(self):
-        try:
-            super().run()
-        except Exception as exc:
-            self._warn(exc)
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:
-            self._warn(exc)
-
-    @staticmethod
-    def _warn(exc):
-        print(f"WARNING: compiled kernels skipped ({exc}); "
-              "falling back to the pure-Python implementations")
-
-
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [Extension("ordlift._kernels", ["src/ordlift/_kernels.pyx"])],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    OptionalBuildExt._warn("Cython not installed")
-
-setup(ext_modules=ext_modules, cmdclass={"build_ext": OptionalBuildExt})
+setup(
+    ext_modules=[
+        Extension("ordlift._kernels", ["src/ordlift/_kernels.c"], optional=True)
+    ]
+)

@@ -52,26 +52,21 @@ def _residue_list(text: str) -> list[int]:
         ) from None
 
 
+_FUNCTIONS = {
+    "alpha": alpha_fast,
+    "beta": beta_fast,
+    "order": order_fast,
+    "proj-order": proj_order_fast,
+}
+
+
 def _cell_value(function: str, a: int, n: int) -> int:
-    """Grid cell for (a, n): alpha/beta are total, orders show 0 off-domain."""
-    if function == "alpha":
-        return alpha_fast(a, n)
-    if function == "beta":
-        return beta_fast(a, n)
-    if math.gcd(a, n) != 1:
-        return 0
-    return order_fast(a, n) if function == "order" else proj_order_fast(a, n)
+    """Grid cell for (a, n): 0 where gcd(a, n) != 1, as alpha and beta give."""
+    return _FUNCTIONS[function](a, n) if math.gcd(a, n) == 1 else 0
 
 
 def _cmd_eval(args) -> int:
-    if args.function == "alpha":
-        print(alpha_fast(args.a, args.n))
-    elif args.function == "beta":
-        print(beta_fast(args.a, args.n))
-    elif args.function == "order":
-        print(order_fast(args.a, args.n))
-    else:
-        print(proj_order_fast(args.a, args.n))
+    print(_FUNCTIONS[args.function](args.a, args.n))
     return 0
 
 
@@ -150,19 +145,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="print a single value")
-    p_eval.add_argument(
-        "function", choices=["alpha", "beta", "order", "proj-order"]
-    )
+    p_eval.add_argument("function", choices=_FUNCTIONS)
     p_eval.add_argument("a", type=int, help="base (any integer)")
     p_eval.add_argument("n", type=_positive_int, help="modulus (>= 1)")
     p_eval.set_defaults(handler=_cmd_eval)
 
     p_table = sub.add_parser("table", help="print a value grid")
-    p_table.add_argument(
-        "--function",
-        choices=["alpha", "beta", "order", "proj-order"],
-        default="alpha",
-    )
+    p_table.add_argument("--function", choices=_FUNCTIONS, default="alpha")
     p_table.add_argument("--n-min", type=_positive_int, default=1)
     p_table.add_argument("--n-max", type=_positive_int, default=20)
     p_table.add_argument("--a-min", type=int, default=1)

@@ -501,24 +501,22 @@ def verify_claims(n_max: int, a_max: int, workers: int = 1) -> VerificationRepor
     A correct implementation reports zero failures; any failure indicates a
     bug, not a broken law.  Prime-power laws additionally cap p at 50 and k
     at 6 to keep p**k at desk scale.  With workers > 1 the n-range is split
-    across processes; the report (including which counterexample is "first")
-    is identical regardless of worker count.
+    across min(workers, n_max) processes; the report (including which
+    counterexample is "first") is identical regardless of worker count.
     """
     if n_max < 1 or a_max < 1:
         raise ValueError(f"bounds must be >= 1, got ({n_max}, {a_max})")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
-    if workers == 1:
+    chunks = [(lo, hi, n_max, a_max) for lo, hi in _chunk_bounds(n_max, workers * 8)]
+    processes = min(workers, len(chunks))
+    if processes == 1:
         parts = [_check_range((1, n_max, n_max, a_max))]
     else:
         import multiprocessing
 
-        chunks = [
-            (lo, hi, n_max, a_max)
-            for lo, hi in _chunk_bounds(n_max, workers * 8)
-        ]
-        with multiprocessing.Pool(workers) as pool:
+        with multiprocessing.Pool(processes) as pool:
             parts = pool.map(_check_range, chunks)
 
     merged = {law: [0, 0, None] for law in _LAW_NAMES}

@@ -1,7 +1,20 @@
-"""The compiled kernels must agree with the pure-Python reference kernels."""
+"""The compiled kernels must agree with the pure-Python reference kernels.
 
+When ``ordlift._kernels`` is not importable, the tests build it from the
+shipped ``_kernels.c`` through ``setup.py build_ext`` into a temporary
+directory, never in place, and load it from there.  They skip only when that
+build yields no module, which is what the optional extension does without a
+working C compiler.
+"""
+
+import importlib.util
 import math
 import random
+import re
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,16 +22,51 @@ from hypothesis import strategies as st
 
 from ordlift import _backend, _pykernels
 
-compiled = pytest.importorskip(
-    "ordlift._kernels", reason="compiled kernels not built"
-)
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ordlift"
 
 
-def test_backend_reports_compiled():
-    assert _backend.BACKEND == "compiled"
+@pytest.fixture(scope="module")
+def compiled(tmp_path_factory):
+    try:
+        from ordlift import _kernels
+
+        return _kernels
+    except ImportError:
+        pass
+    out = tmp_path_factory.mktemp("kernels")
+    subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(out), "--build-temp", str(out)],
+        cwd=ROOT, capture_output=True, check=True, timeout=300,
+    )
+    path = out / "ordlift" / ("_kernels" + sysconfig.get_config_var("EXT_SUFFIX"))
+    if not path.is_file():
+        pytest.skip("compiled kernels could not be built (no C compiler?)")
+    spec = importlib.util.spec_from_file_location("ordlift._kernels", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # Cython's module init registers itself in sys.modules, which would make
+    # every later import of ordlift._backend pick the compiled kernels.
+    sys.modules.pop("ordlift._kernels", None)
+    return module
 
 
-def test_order_scans_agree_on_grid():
+@pytest.fixture
+def backend(compiled, monkeypatch):
+    """``_backend`` re-imported with ``compiled`` as ``ordlift._kernels``."""
+    monkeypatch.setitem(sys.modules, "ordlift._kernels", compiled)
+    importlib.reload(_backend)
+    yield _backend
+    monkeypatch.undo()
+    importlib.reload(_backend)
+
+
+def test_backend_reports_compiled(backend):
+    assert backend.BACKEND == "compiled"
+
+
+def test_order_scans_agree_on_grid(compiled):
     for n in range(1, 400):
         for a in range(1, 40):
             if math.gcd(a, n) != 1:
@@ -29,14 +77,14 @@ def test_order_scans_agree_on_grid():
 
 @given(st.integers(1, 10**6), st.integers(-10**6, 10**6))
 @settings(max_examples=200)
-def test_order_scans_agree_random(n, a):
+def test_order_scans_agree_random(compiled, n, a):
     if math.gcd(a, n) != 1:
         return
     assert compiled.order_scan(a, n) == _pykernels.order_scan(a, n)
     assert compiled.proj_order_scan(a, n) == _pykernels.proj_order_scan(a, n)
 
 
-def test_order_scan_against_phi_route():
+def test_order_scan_against_phi_route(compiled):
     # independent check: the scan agrees with the phi-factorization path
     from ordlift.orders import mult_order
 
@@ -46,7 +94,7 @@ def test_order_scan_against_phi_route():
                 assert compiled.order_scan(a, n) == mult_order(a, n).order
 
 
-def test_scan_caps_on_noncoprime_base():
+def test_scan_caps_on_noncoprime_base(compiled):
     with pytest.raises(ValueError):
         compiled.order_scan(6, 10)
     with pytest.raises(ValueError):
@@ -57,7 +105,7 @@ def test_scan_caps_on_noncoprime_base():
         _pykernels.proj_order_scan(6, 10)
 
 
-def test_triangle_counts_agree():
+def test_triangle_counts_agree(compiled):
     rng = random.Random(23)
     for _ in range(500):
         n = rng.randint(1, 20)
@@ -66,13 +114,13 @@ def test_triangle_counts_agree():
         assert compiled.triangle_counts(seq, n) == _pykernels.triangle_counts(seq, n)
 
 
-def test_triangle_counts_agree_long_sequence():
+def test_triangle_counts_agree_long_sequence(compiled):
     rng = random.Random(5)
     seq = [rng.randrange(101) for _ in range(500)]
     assert compiled.triangle_counts(seq, 101) == _pykernels.triangle_counts(seq, 101)
 
 
-def test_search_agrees():
+def test_search_agrees(compiled):
     for n in (1, 2, 3, 4, 5, 7, 9):
         for m in range(1, 22):
             assert compiled.search_balanced_ap(n, m) == _pykernels.search_balanced_ap(
@@ -80,8 +128,31 @@ def test_search_agrees():
             )
 
 
-def test_backend_falls_back_above_word_size():
+def test_backend_falls_back_above_word_size(backend):
     # moduli past the 64-bit fast path must still work through the dispatcher
     n = (1 << 64) + 13
-    assert _backend.order_scan(n - 1, n) == 2  # (-1)**2 = 1
-    assert _backend.proj_order_scan(n - 1, n) == 1
+    assert backend.order_scan(n - 1, n) == 2  # (-1)**2 = 1
+    assert backend.proj_order_scan(n - 1, n) == 1
+
+
+def test_shipped_c_matches_pyx():
+    # Cython echoes the source it compiles into " * <line>" comments of the
+    # .c, marking the current line with "# <<<...", so every code line of
+    # the .pyx from its first function on appears there verbatim until the
+    # .pyx is edited without running `cython src/ordlift/_kernels.pyx`.
+    pyx = (PACKAGE / "_kernels.pyx").read_text().splitlines()
+    start = next(
+        i for i, line in enumerate(pyx) if line.startswith("cdef inline u64 _mulmod")
+    )
+    code = [
+        line.rstrip()
+        for line in pyx[start:]
+        if line.strip() and not line.lstrip().startswith("#")
+    ]
+    echoed = {
+        re.sub(r"\s+# <+$", "", line[3:]).rstrip()
+        for line in (PACKAGE / "_kernels.c").read_text().splitlines()
+        if line.startswith(" * ")
+    }
+    stale = [line for line in code if line not in echoed]
+    assert code and not stale, f"_kernels.c was not regenerated for: {stale[:5]}"

@@ -1,6 +1,7 @@
 """Tests for pair validation, the lifting formulas, and the law sweep."""
 
 import math
+import multiprocessing
 import random
 import time
 
@@ -286,3 +287,28 @@ def test_verify_claims_parallel_matches_serial():
     serial = verify_claims(60, 6)
     parallel = verify_claims(60, 6, workers=2)
     assert serial == parallel
+
+
+def test_verify_claims_pool_never_exceeds_chunks(monkeypatch):
+    # A recorder in place of multiprocessing.Pool: it maps in-process and
+    # starts no process, so the pool sizes asked for can be checked cheaply.
+    sizes = []
+
+    class Recorder:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(multiprocessing, "Pool", Recorder)
+    assert verify_claims(2, 1, workers=64) == verify_claims(2, 1)
+    assert verify_claims(1, 3, workers=64) == verify_claims(1, 3)
+    assert verify_claims(40, 3, workers=3) == verify_claims(40, 3)
+    assert sizes == [2, 3]
