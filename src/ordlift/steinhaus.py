@@ -4,8 +4,10 @@ The triangle of a finite sequence is the multiset of all iterated pairwise
 sums: each row is the mod-n sums of adjacent entries of the row above, and a
 length-m sequence contributes m(m+1)/2 entries in total.  A sequence is
 balanced when every residue class appears equally often.  Balance forces
-n | m(m+1)/2, and the search here scans arithmetic progressions for witnesses
-at desk scale.
+n | m(m+1)/2.  The pure-Python progression search tests one progression per
+orbit of the two maps that preserve balance, scaling by a unit and reversal,
+and counts each candidate's triangle in closed form, since every row of a
+progression's triangle is again a progression.
 """
 
 from __future__ import annotations
@@ -106,6 +108,13 @@ def ap_sequence(c: int, d: int, m: int, n: int) -> ZnSequence:
 def search_balanced_ap(n: int, m: int):
     """First (start, step) pair in [0,n)^2, in lexicographic order, whose
     length-m arithmetic progression is balanced mod n; None if there is none.
+
+    The pure-Python search visits the pairs in that order but counts only the
+    smallest pair of each orbit under (c, d) -> (uc, ud) for units u and
+    (c, d) -> (c + (m-1)d, -d), both of which preserve balance, and counts
+    each row of its triangle in closed form; the result is still the
+    lexicographically first witness of the full scan.  The compiled kernel,
+    when built, runs the full scan.
 
     Odd n only: that is where balanced progressions are known to exist for
     lengths in the right congruence classes, and the scan is not meaningful

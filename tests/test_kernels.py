@@ -121,11 +121,42 @@ def test_triangle_counts_agree_long_sequence(compiled):
 
 
 def test_search_agrees(compiled):
-    for n in (1, 2, 3, 4, 5, 7, 9):
-        for m in range(1, 22):
+    # the compiled search is a literal full scan; the pure one scans orbits
+    for n in range(1, 16):
+        for m in range(1, 40):
             assert compiled.search_balanced_ap(n, m) == _pykernels.search_balanced_ap(
                 n, m
-            )
+            ), (n, m)
+
+
+def test_closed_form_counts_match_row_by_row():
+    rng = random.Random(41)
+    cases = [(0, 0, 5, 1), (0, 3, 7, 12), (2, 4, 30, 8), (1, 6, 40, 9)]
+    while len(cases) < 1200:
+        n = rng.randint(1, 36)
+        g = rng.choice([k for k in range(1, n + 1) if n % k == 0])
+        cases.append((rng.randrange(n), g * rng.randrange(n) % n, rng.randint(1, 80), n))
+    assert any(n % 2 == 0 for *_, n in cases)
+    assert any(math.gcd(d, n) not in (1, n) for _, d, _, n in cases)
+    for c, d, m, n in cases:
+        expanded = [(c + k * d) % n for k in range(m)]
+        assert _pykernels._ap_counts(c, d, m, n) == _pykernels.triangle_counts(
+            expanded, n
+        ), (c, d, m, n)
+
+
+def test_orbit_least_matches_enumerated_orbit():
+    for n in range(1, 22):
+        units = [u for u in range(n) if math.gcd(u, n) == 1] or [0]
+        for m in range(1, 2 * n + 2, 3):
+            for c in range(n):
+                for d in range(n):
+                    c2, d2 = (c + (m - 1) * d) % n, -d % n
+                    orbit = [(u * c % n, u * d % n) for u in units]
+                    orbit += [(u * c2 % n, u * d2 % n) for u in units]
+                    assert _pykernels._orbit_least(c, d, m, n) == (
+                        min(orbit) == (c, d)
+                    ), (c, d, m, n)
 
 
 def test_backend_falls_back_above_word_size(backend):

@@ -162,19 +162,27 @@ def test_search_balanced_ap_rejects_even():
 
 
 def test_search_returns_lexicographically_first():
-    for n in (3, 5, 7, 9):
-        for m in range(1, 25):
-            hit = search_balanced_ap(n, m)
-            reference = next(
-                (
-                    (c, d)
-                    for c in range(n)
-                    for d in range(n)
-                    if is_balanced(ap_sequence(c, d, m, n))
-                ),
-                None,
-            )
-            assert hit == reference
+    # The literal scan over all n**2 progressions is the oracle: the search
+    # tests one pair per symmetry orbit and counts in closed form instead.
+    grid = {(n, m) for n in (3, 5, 7, 9) for m in range(1, 25)}
+    grid |= {
+        (n, m)
+        for n in range(1, 18, 2)
+        for m in range(1, 3 * n)
+        if length_admissible(m, n)
+    }
+    for n, m in sorted(grid):
+        hit = search_balanced_ap(n, m)
+        reference = next(
+            (
+                (c, d)
+                for c in range(n)
+                for d in range(n)
+                if is_balanced(ap_sequence(c, d, m, n))
+            ),
+            None,
+        )
+        assert hit == reference, (n, m)
 
 
 def test_search_found_witnesses_are_balanced():
