@@ -1,7 +1,9 @@
 """Kernel dispatch: compiled extension when built, pure Python otherwise.
 
 The compiled kernels do 64-bit arithmetic with 128-bit intermediates, so
-dispatch also routes oversized operands to the pure-Python versions.
+dispatch also routes oversized operands to the pure-Python versions.  The
+progression search always runs in pure Python: its orbit search is faster
+than the compiled full scan of all n**2 progressions past n of about 25.
 """
 
 from __future__ import annotations
@@ -39,6 +41,4 @@ def triangle_counts(elements, n: int) -> list[int]:
 
 
 def search_balanced_ap(n: int, m: int):
-    if _kernels is not None and n <= _COUNTS_LIMIT and m <= _LENGTH_LIMIT:
-        return _kernels.search_balanced_ap(n, m)
     return _pykernels.search_balanced_ap(n, m)

@@ -1,19 +1,33 @@
 """Pure-Python kernels for the hot loops.
 
-The compiled twin in ``_kernels.pyx`` implements exactly the same contracts;
-``_backend`` picks whichever is available.  The scans and ``triangle_counts``
-are literal loops and double as the reference the compiled kernels are tested
-against.  ``search_balanced_ap`` is not a literal scan: it tests one
-progression per symmetry orbit and counts its triangle in closed form, so the
-compiled full scan and the literal ``is_balanced(ap_sequence(...))`` scan in
-the tests are the references it is checked against.
+The compiled twin in ``_kernels.pyx`` implements the same contracts.
+``_backend`` picks the compiled scans and triangle counts when they are
+built, and always this module's search.  The scans are literal loops and
+double as the reference the compiled scans are tested against.  The others
+are not literal: ``triangle_counts`` steps whole rows packed into one int
+and counts them in byte chunks, and ``search_balanced_ap`` tests one
+progression per symmetry orbit and counts its triangle in closed form.  The
+literal row-by-row loop and the literal ``is_balanced(ap_sequence(...))``
+scan in the tests, and the compiled kernels, are the references they are
+checked against.
 """
 
 from __future__ import annotations
 
+import sys
 from math import gcd
+from struct import pack
 
 __all__ = ["order_scan", "proj_order_scan", "search_balanced_ap", "triangle_counts"]
+
+# Field widths of the packed triangle rows, with their native struct formats.
+_FIELDS = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
+# Rows are counted in chunks of about this many bytes.
+_CHUNK_BYTES = 1 << 16
+# Up to this n, and on chunks of at least 8n byte fields, one bytes.count per
+# residue beats a Python loop over the chunk: about 0.5n + 17 ns per entry
+# plus 0.1-0.2 us per call, against 30-55 ns per entry.
+_COUNT_BY_RESIDUE_MAX_N = 40
 
 
 def order_scan(base: int, n: int) -> int:
@@ -55,15 +69,42 @@ def triangle_counts(elements, n: int) -> list[int]:
 
     Row r+1 entry j is (row r entry j + row r entry j+1) mod n; counts cover
     all m(m+1)/2 entries of an m-element input.
+
+    Each row is one int of w-bit fields, w the smallest of 8, 16, 32, 64 with
+    2^(w-1) >= n.  The next row is (row & low fields) + (row >> w): sums below
+    2n <= 2^w, so no field carries into the next.  Adding 2^(w-1) - n to every
+    field sets a field's top bit exactly where its sum is >= n, and those
+    fields get n subtracted.  Rows are exported as bytes and counted in
+    chunks of about _CHUNK_BYTES, so memory stays O(m + chunk).
     """
-    row = [x % n for x in elements]
-    counts = [0] * n
-    for x in row:
-        counts[x] += 1
-    while len(row) > 1:
-        row = [(row[i] + row[i + 1]) % n for i in range(len(row) - 1)]
-        for x in row:
-            counts[x] += 1
+    counts = [0] * n  # first, so a modulus too large to count fails at once
+    # A list of n counts fits in memory only for n far below 2^63.
+    w, fmt = next(field for field in _FIELDS if 1 << (field[0] - 1) >= n)
+    size = w // 8
+    order = sys.byteorder
+    residues = [x % n for x in elements]
+    m = len(residues)
+    row = int.from_bytes(pack(f"{m}{fmt}", *residues), order)
+    ones = int.from_bytes(pack(fmt, 1) * m, order)
+    bias = ((1 << (w - 1)) - n) * ones
+    low = ((1 << w) - 1) * ones
+    by_residue = size == 1 and n <= _COUNT_BY_RESIDUE_MAX_N
+    parts, filled = [], 0
+    for length in range(m, 0, -1):
+        parts.append(row.to_bytes(length * size, order))
+        filled += length * size
+        if filled >= _CHUNK_BYTES or length == 1:
+            chunk = b"".join(parts)
+            parts, filled = [], 0
+            if by_residue and len(chunk) >= 8 * n:
+                for x in range(n):
+                    counts[x] += chunk.count(x)
+            else:
+                for x in chunk if size == 1 else memoryview(chunk).cast(fmt):
+                    counts[x] += 1
+        low >>= w
+        s = (row & low) + (row >> w)
+        row = s - ((s + bias) >> (w - 1) & ones) * n
     return counts
 
 

@@ -109,12 +109,13 @@ def search_balanced_ap(n: int, m: int):
     """First (start, step) pair in [0,n)^2, in lexicographic order, whose
     length-m arithmetic progression is balanced mod n; None if there is none.
 
-    The pure-Python search visits the pairs in that order but counts only the
-    smallest pair of each orbit under (c, d) -> (uc, ud) for units u and
+    The search visits the pairs in that order but counts only the smallest
+    pair of each orbit under (c, d) -> (uc, ud) for units u and
     (c, d) -> (c + (m-1)d, -d), both of which preserve balance, and counts
     each row of its triangle in closed form; the result is still the
-    lexicographically first witness of the full scan.  The compiled kernel,
-    when built, runs the full scan.
+    lexicographically first witness of the full scan.  This search runs in
+    pure Python even when the compiled kernels are built, since their full
+    scan of all n**2 pairs is the slower route past n of about 25.
 
     Odd n only: that is where balanced progressions are known to exist for
     lengths in the right congruence classes, and the scan is not meaningful

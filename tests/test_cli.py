@@ -165,6 +165,14 @@ def test_steinhaus_triangle_output():
     assert out.strip() == "balanced: false; counts: 0:0 1:2 2:1"
 
 
+def test_steinhaus_triangle_huge_modulus_exits_1():
+    # No list of 10**15 counts can be allocated, so this fails at once.
+    code, out, err = run_cli("steinhaus", "triangle", str(10**15), "1,2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "too large" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_steinhaus_search_output():
     code, out, _ = run_cli("steinhaus", "search", "3", "3")
     assert code == 0 and out.strip() == "(1,2)"

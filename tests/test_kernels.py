@@ -14,6 +14,7 @@ import re
 import subprocess
 import sys
 import sysconfig
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -105,19 +106,60 @@ def test_scan_caps_on_noncoprime_base(compiled):
         _pykernels.proj_order_scan(6, 10)
 
 
+def literal_triangle_counts(elements, n):
+    """The reference: every row built from the one above, entry by entry."""
+    row = [x % n for x in elements]
+    counts = [0] * n
+    for x in row:
+        counts[x] += 1
+    while len(row) > 1:
+        row = [(row[i] + row[i + 1]) % n for i in range(len(row) - 1)]
+        for x in row:
+            counts[x] += 1
+    return counts
+
+
+# Moduli on both sides of each field width of the packed pure-Python rows.
+WIDTH_BOUNDARIES = (1, 2, 63, 64, 65, 127, 128, 129, 255, 256, 257, 32767, 32768, 32769, 65537)
+
+
 def test_triangle_counts_agree(compiled):
     rng = random.Random(23)
+    cases = []
     for _ in range(500):
         n = rng.randint(1, 20)
-        m = rng.randint(1, 30)
-        seq = [rng.randrange(n) for _ in range(m)]
-        assert compiled.triangle_counts(seq, n) == _pykernels.triangle_counts(seq, n)
+        cases.append(([rng.randrange(n) for _ in range(rng.randint(1, 30))], n))
+    for n in WIDTH_BOUNDARIES:
+        for m in (1, 2, 3, 40):
+            cases.append(([rng.randrange(-2 * n, 2 * n) for _ in range(m)], n))
+    for seq, n in cases:
+        expected = literal_triangle_counts(seq, n)
+        assert compiled.triangle_counts(seq, n) == expected, (seq, n)
+        assert _pykernels.triangle_counts(seq, n) == expected, (seq, n)
 
 
 def test_triangle_counts_agree_long_sequence(compiled):
+    # 400 entries per row pass a 64 KB counting chunk at every field width.
     rng = random.Random(5)
-    seq = [rng.randrange(101) for _ in range(500)]
-    assert compiled.triangle_counts(seq, 101) == _pykernels.triangle_counts(seq, 101)
+    for n in (101, 129, 32769):
+        seq = [rng.randrange(n) for _ in range(400)]
+        expected = literal_triangle_counts(seq, n)
+        assert compiled.triangle_counts(seq, n) == expected, n
+        assert _pykernels.triangle_counts(seq, n) == expected, n
+
+
+def test_triangle_counts_memory_stays_linear():
+    # 4.5 million entries: rows are counted in chunks, never all held at once.
+    rng = random.Random(9)
+    seq = [rng.randrange(35) for _ in range(3000)]
+    tracemalloc.start()
+    try:
+        counts = _pykernels.triangle_counts(seq, 35)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(counts) == 3000 * 3001 // 2
+    assert peak < 1 << 20, peak
 
 
 def test_search_agrees(compiled):
@@ -140,7 +182,7 @@ def test_closed_form_counts_match_row_by_row():
     assert any(math.gcd(d, n) not in (1, n) for _, d, _, n in cases)
     for c, d, m, n in cases:
         expanded = [(c + k * d) % n for k in range(m)]
-        assert _pykernels._ap_counts(c, d, m, n) == _pykernels.triangle_counts(
+        assert _pykernels._ap_counts(c, d, m, n) == literal_triangle_counts(
             expanded, n
         ), (c, d, m, n)
 
@@ -157,6 +199,17 @@ def test_orbit_least_matches_enumerated_orbit():
                     assert _pykernels._orbit_least(c, d, m, n) == (
                         min(orbit) == (c, d)
                     ), (c, d, m, n)
+
+
+def test_backend_search_is_the_pure_one(backend, monkeypatch):
+    # The orbit search beats the compiled full scan, so dispatch never uses
+    # the compiled search even when it is built.
+    calls = []
+    monkeypatch.setattr(
+        _pykernels, "search_balanced_ap", lambda n, m: calls.append((n, m)) or (0, 1)
+    )
+    assert backend.search_balanced_ap(9, 17) == (0, 1)
+    assert calls == [(9, 17)]
 
 
 def test_backend_falls_back_above_word_size(backend):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordlift import _pykernels
 from ordlift.steinhaus import (
     ZnSequence,
     ap_sequence,
@@ -17,7 +18,8 @@ from ordlift.steinhaus import (
     triangle,
 )
 
-sequences = st.integers(1, 12).flatmap(
+# Moduli past 128 need 16-bit fields in the packed pure-Python kernel.
+sequences = st.integers(1, 300).flatmap(
     lambda n: st.lists(st.integers(0, n - 1), min_size=1, max_size=14).map(
         lambda xs: ZnSequence(n, tuple(xs))
     )
@@ -103,6 +105,26 @@ def test_triangle_cardinality(seq):
 def test_balanced_implies_admissible_length(seq):
     if is_balanced(seq):
         assert length_admissible(len(seq), seq.modulus)
+
+
+def test_triangle_counts_at_field_width_boundaries():
+    # The kernel packs each row into fields of 8, 16 or 32 bits chosen by n,
+    # and counts the rows in 64 KB chunks, which a length of 362 passes.
+    rng = random.Random(29)
+    for n in (1, 2, 63, 64, 65, 127, 128, 129, 255, 256, 257, 32767, 32768, 32769, 65537):
+        for m in (1, 2, 3, 362):
+            # negative elements and elements >= n are reduced mod n
+            values = [rng.randrange(-3 * n, 3 * n) for _ in range(m)]
+            values[rng.randrange(m)] = n - 1 + n * rng.choice((-2, 0, 1))
+            seq = ZnSequence.from_integers(n, values)
+            if m <= 3:
+                entries = binomial_entries(seq)
+            else:
+                entries = [x for row in pairwise_rows(seq) for x in row]
+            expected = Counter(entries)
+            assert _pykernels.triangle_counts(values, n) == [
+                expected.get(r, 0) for r in range(n)
+            ], (n, m)
 
 
 def test_triangle_rows_are_additive():
