@@ -6,6 +6,11 @@ The hot loops (brute-force order scans, triangle accumulation, progression
 search) run through a compiled extension when it is built; otherwise the
 pure-Python kernels take over transparently.  ``ordlift.kernel_backend``
 reports which one is active.
+
+The records (Factorization, OrderRecord, BasePair, LawResult,
+VerificationReport, ZnSequence, TriangleSummary) are named tuples: immutable,
+built by position or keyword, unpackable, and equal to a plain tuple of the
+same fields.  Functions that return one number build no record on the way.
 """
 
 from ordlift._backend import BACKEND as kernel_backend

@@ -9,7 +9,7 @@ are fine), and factorization results are cached for the sweep-heavy callers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from ordlift.errors import FactorizationBudgetError
@@ -47,16 +47,14 @@ _RHO_BUDGET = 1 << 21
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization of a positive integer.
+class Factorization(namedtuple("Factorization", "value factors")):
+    """Prime factorization of a positive integer ``value``.
 
     ``factors`` is a tuple of (prime, exponent) pairs with strictly increasing
     primes; the empty tuple represents 1.
     """
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
@@ -194,11 +192,16 @@ def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(exps.items()))
 
 
-def factorize(n: int) -> Factorization:
-    """Unique prime factorization of n >= 1."""
+def _factors(n: int) -> tuple[tuple[int, int], ...]:
+    """The cached (prime, exponent) pairs of n >= 1, without a record."""
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
-    return Factorization(n, _factor_pairs(n))
+    return _factor_pairs(n)
+
+
+def factorize(n: int) -> Factorization:
+    """Unique prime factorization of n >= 1."""
+    return Factorization(n, _factors(n))
 
 
 def valuation(n: int, p: int) -> int:
@@ -217,7 +220,7 @@ def valuation(n: int, p: int) -> int:
 def radical(n: int) -> int:
     """Largest square-free divisor: the product of the distinct primes of n."""
     result = 1
-    for p, _ in factorize(n).factors:
+    for p, _ in _factors(n):
         result *= p
     return result
 
@@ -241,7 +244,7 @@ def mod_pow(a: int, e: int, n: int) -> int:
 def euler_phi(n: int) -> int:
     """Euler's totient, computed from the factorization."""
     result = 1
-    for p, e in factorize(n).factors:
+    for p, e in _factors(n):
         result *= (p - 1) * p ** (e - 1)
     return result
 
@@ -249,6 +252,6 @@ def euler_phi(n: int) -> int:
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
     divs = [1]
-    for p, e in factorize(n).factors:
+    for p, e in _factors(n):
         divs = [d * p**i for d in divs for i in range(e + 1)]
     return sorted(divs)

@@ -14,7 +14,6 @@ primality test but is composite), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -81,6 +80,8 @@ def _cmd_table(args) -> int:
     rows = [[_cell_value(args.function, a, n) for a in a_range] for n in n_range]
 
     if args.format == "json":
+        import json  # imported here: no other command needs it
+
         print(
             json.dumps(
                 {

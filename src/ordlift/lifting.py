@@ -14,12 +14,13 @@ prime-power shortcuts, and sweeps all of these laws in ``verify_claims``
 against the phi-stripping reference and the scan oracles.  The order engine
 in ``orders`` applies the same lifting prime by prime, so the *_fast names
 are the engine's functions themselves; no BasePair is built on that path.
+Pairs, per-law results and sweep reports are named tuples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from ordlift.arith import (
@@ -32,11 +33,12 @@ from ordlift.arith import (
 from ordlift.errors import InvalidPairError, NotCoprimeError
 from ordlift.orders import (
     _order_phi,
+    _order_value,
+    _reduced_coprime,
     alpha,
     alpha_oracle,
     beta,
     beta_oracle,
-    mult_order,
     proj_order,
     remainder_gcd,
 )
@@ -69,13 +71,11 @@ class TwoAdicCase(Enum):
     LARGE = "v2>=2"
 
 
-@dataclass(frozen=True)
-class BasePair:
-    """A validated modulus pair (n1, n2) for the lifting formulas."""
+class BasePair(namedtuple("BasePair", "n1 n2 two_adic_case")):
+    """A validated modulus pair (n1, n2) for the lifting formulas, with the
+    TwoAdicCase it satisfies."""
 
-    n1: int
-    n2: int
-    two_adic_case: TwoAdicCase
+    __slots__ = ()
 
 
 def make_base_pair(n1: int, n2: int) -> BasePair:
@@ -130,7 +130,8 @@ def lift_order(pair: BasePair, a: int) -> int:
     rg = remainder_gcd(a, pair.n2, pair.n1)
     if pair.n1 % rg:
         raise ArithmeticError(f"remainder gcd {rg} does not divide {pair.n1}")
-    return mult_order(a, pair.n2).order * (pair.n1 // rg)
+    # remainder_gcd has checked n2 | n1 and gcd(a, n1) = 1, so a is a unit mod n2.
+    return _order_value(a % pair.n2, pair.n2) * (pair.n1 // rg)
 
 
 def _lift_quotient(pair: BasePair, a: int, value_at_base: int) -> int:
@@ -169,7 +170,7 @@ proj_order_fast = proj_order
 def order_fast(a: int, n: int) -> int:
     """Multiplicative order of a mod n as an int (NotCoprimeError if not
     coprime); the order of ``mult_order`` without its record."""
-    return mult_order(a, n).order
+    return _order_value(_reduced_coprime(a, n, "multiplicative order"), n)
 
 
 def alpha_prime_power(a: int, p: int, k: int) -> int:
@@ -180,7 +181,7 @@ def alpha_prime_power(a: int, p: int, k: int) -> int:
         raise ValueError(f"alpha_prime_power requires k >= 1, got {k}")
     if a % p == 0:
         return 0
-    return mult_order(a, p).order
+    return _order_value(_reduced_coprime(a, p, "multiplicative order"), p)
 
 
 def beta_prime_power(a: int, p: int, k: int) -> int:
@@ -218,25 +219,22 @@ _PRIME_POWER_MAX_P = 50
 _PRIME_POWER_MAX_K = 6
 
 
-@dataclass(frozen=True)
-class LawResult:
-    law: str
-    checked: int
-    failed: int
-    first_counterexample: str | None
+class LawResult(namedtuple("LawResult", "law checked failed first_counterexample")):
+    """One law's tally from a sweep: checks run, checks failed, and the first
+    counterexample as text (None when nothing failed)."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.failed == 0
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Per-law pass/fail statistics from a verification sweep."""
+class VerificationReport(namedtuple("VerificationReport", "n_max a_max laws")):
+    """Per-law pass/fail statistics from a verification sweep: ``laws`` is a
+    tuple of LawResult, one per law in sweep order."""
 
-    n_max: int
-    a_max: int
-    laws: tuple[LawResult, ...]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

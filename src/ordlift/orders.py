@@ -22,16 +22,19 @@ a**order(a) - 1 is a multiple of n that the lifting formulas consume, but it
 is never materialized: ``remainder_gcd`` extracts the needed gcd from a
 single power reduced mod the larger modulus, which is exact because
 gcd(n1, x) = gcd(n1, x mod n1).
+
+Only ``mult_order`` returns a record, the named tuple OrderRecord; every
+other function here returns the order as a plain int without building one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from ordlift import _backend
-from ordlift.arith import factorize
+from ordlift.arith import _factors
 from ordlift.errors import InvalidPairError, NotCoprimeError
 
 __all__ = [
@@ -46,13 +49,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OrderRecord:
+class OrderRecord(namedtuple("OrderRecord", "modulus base order")):
     """A computed multiplicative order: base**order = 1 mod modulus, minimally."""
 
-    modulus: int
-    base: int
-    order: int
+    __slots__ = ()
 
 
 def _composite(p: int, n: int) -> ArithmeticError:
@@ -65,7 +65,7 @@ def _composite(p: int, n: int) -> ArithmeticError:
 def _order_value(r: int, n: int) -> int:
     """Order of the reduced residue r mod n; caller guarantees gcd(r, n) = 1."""
     order = 1
-    for p, k in factorize(n).factors:
+    for p, k in _factors(n):
         if p == 2:
             if k == 1:
                 continue
@@ -75,7 +75,7 @@ def _order_value(r: int, n: int) -> int:
             rp = r % p
             if pow(rp, d, p) != 1:
                 raise _composite(p, n)
-            for q, _ in factorize(d).factors:
+            for q, _ in _factors(d):
                 while d % q == 0 and pow(rp, d // q, p) == 1:
                     d //= q
         pk = p**k
@@ -97,14 +97,14 @@ def _order_phi(r: int, n: int) -> int:
     """
     if n == 1:
         return 1
-    fn = factorize(n).factors
+    fn = _factors(n)
     e = 1
     exps: dict[int, int] = {}
     for p, k in fn:
         e *= (p - 1) * p ** (k - 1)
         if k > 1:
             exps[p] = exps.get(p, 0) + k - 1
-        for q, j in factorize(p - 1).factors:
+        for q, j in _factors(p - 1):
             exps[q] = exps.get(q, 0) + j
     if pow(r, e, n) != 1:
         raise _composite(next(p for p, k in fn if pow(r, e, p**k) != 1), n)
@@ -160,9 +160,9 @@ def proj_order(a: int, n: int) -> int:
     Equals the plain order d unless d is even and a**(d/2) = -1, in which
     case it is d/2.  For n <= 2, where +1 and -1 coincide, it equals d.
     """
-    rec = mult_order(a, n)
-    d = rec.order
-    if n > 2 and d % 2 == 0 and pow(rec.base, d // 2, n) == n - 1:
+    r = _reduced_coprime(a, n, "multiplicative order")
+    d = _order_value(r, n)
+    if n > 2 and d % 2 == 0 and pow(r, d // 2, n) == n - 1:
         return d // 2
     return d
 

@@ -7,12 +7,13 @@ balanced when every residue class appears equally often.  Balance forces
 n | m(m+1)/2.  The pure-Python progression search tests one progression per
 orbit of the two maps that preserve balance, scaling by a unit and reversal,
 and counts each candidate's triangle in closed form, since every row of a
-progression's triangle is again a progression.
+progression's triangle is again a progression.  Sequences and triangle
+summaries are named tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ordlift import _backend
 
@@ -27,21 +28,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ZnSequence:
-    """A nonempty sequence of residues mod a positive modulus."""
+class ZnSequence(namedtuple("ZnSequence", "modulus elements")):
+    """A nonempty sequence of residues mod a positive modulus.
 
-    modulus: int
-    elements: tuple[int, ...]
+    A named tuple of (modulus, elements), checked on construction; ``len``
+    is the number of elements.
+    """
 
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
-        if len(self.elements) < 1:
+    __slots__ = ()
+
+    def __new__(cls, modulus: int, elements: tuple[int, ...]):
+        if modulus < 1:
+            raise ValueError(f"modulus must be >= 1, got {modulus}")
+        if len(elements) < 1:
             raise ValueError("sequence must have length >= 1")
-        for x in self.elements:
-            if not 0 <= x < self.modulus:
-                raise ValueError(f"element {x} not a residue mod {self.modulus}")
+        for x in elements:
+            if not 0 <= x < modulus:
+                raise ValueError(f"element {x} not a residue mod {modulus}")
+        return super().__new__(cls, modulus, elements)
+
+    @classmethod
+    def _make(cls, iterable) -> "ZnSequence":
+        # The inherited _make skips __new__ and reads the field count through
+        # len(), which here counts elements; _replace goes through this too.
+        return cls(*iterable)
 
     @classmethod
     def from_integers(cls, modulus: int, values) -> "ZnSequence":
@@ -54,18 +64,16 @@ class ZnSequence:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
-class TriangleSummary:
+class TriangleSummary(
+    namedtuple("TriangleSummary", "modulus length counts balanced")
+):
     """Residue multiplicities of a triangle, plus the balance verdict.
 
     ``counts[r]`` is the multiplicity of residue r; the multiplicities always
     sum to length*(length+1)/2.
     """
 
-    modulus: int
-    length: int
-    counts: tuple[int, ...]
-    balanced: bool
+    __slots__ = ()
 
     @property
     def total(self) -> int:
