@@ -3,7 +3,7 @@
 The compiled kernels do 64-bit arithmetic with 128-bit intermediates, so
 dispatch also routes oversized operands to the pure-Python versions.  The
 progression search always runs in pure Python: its orbit search is faster
-than the compiled full scan of all n**2 progressions past n of about 25.
+than the compiled full scan of all n**2 progressions past n of about 15.
 """
 
 from __future__ import annotations

@@ -4,17 +4,29 @@ The compiled twin in ``_kernels.pyx`` implements the same contracts.
 ``_backend`` picks the compiled scans and triangle counts when they are
 built, and always this module's search.  The scans are literal loops and
 double as the reference the compiled scans are tested against.  The others
-are not literal: ``triangle_counts`` steps whole rows packed into one int
-and counts them in byte chunks, and ``search_balanced_ap`` tests one
-progression per symmetry orbit and counts its triangle in closed form.  The
-literal row-by-row loop and the literal ``is_balanced(ap_sequence(...))``
-scan in the tests, and the compiled kernels, are the references they are
-checked against.
+are not literal.
+
+- Row classes.  Entry j of row i of the triangle of the progression (c, d)
+  mod odd n is 2^i (c + (i/2 + j) d).  So the rows whose i agree mod
+  k = min(ord_n(2), m) share the factor 2^i, and their entries, counted
+  over y = i/2 + j mod N = n/gcd(d, n), form one table per class that does
+  not depend on c or d.  The k tables give a progression's counts in
+  O(m + k N) steps instead of m(m+1)/2.
+- ``triangle_counts`` takes the row classes when its input is a progression
+  mod odd n and that bound is below the entry count.  Otherwise it steps
+  whole rows packed into one int and counts them in byte chunks.
+- ``search_balanced_ap`` tests one progression per symmetry orbit, and for
+  odd n counts it with row-class tables built once per call.
+
+The literal row-by-row loop in the tests, the literal scan of all n**2
+progressions built on it, and the compiled kernels are the references they
+are checked against.
 """
 
 from __future__ import annotations
 
 import sys
+from itertools import accumulate
 from math import gcd
 from struct import pack
 
@@ -70,20 +82,30 @@ def triangle_counts(elements, n: int) -> list[int]:
     Row r+1 entry j is (row r entry j + row r entry j+1) mod n; counts cover
     all m(m+1)/2 entries of an m-element input.
 
-    Each row is one int of w-bit fields, w the smallest of 8, 16, 32, 64 with
-    2^(w-1) >= n.  The next row is (row & low fields) + (row >> w): sums below
-    2n <= 2^w, so no field carries into the next.  Adding 2^(w-1) - n to every
-    field sets a field's top bit exactly where its sum is >= n, and those
-    fields get n subtracted.  Rows are exported as bytes and counted in
-    chunks of about _CHUNK_BYTES, so memory stays O(m + chunk).
+    A progression mod odd n is counted by row classes, one class at a time
+    in O(n + N) memory, whenever m + k N <= m(m+1)/2 (see the module
+    docstring).  Otherwise each row is one int of w-bit fields, w the
+    smallest of 8, 16, 32, 64 with 2^(w-1) >= n.  The next row is
+    (row & low fields) + (row >> w): sums below 2n <= 2^w, so no field
+    carries into the next.  Adding 2^(w-1) - n to every field sets a field's
+    top bit exactly where its sum is >= n, and those fields get n
+    subtracted.  Rows are exported as bytes and counted in chunks of about
+    _CHUNK_BYTES, so memory stays O(m + chunk).
     """
     counts = [0] * n  # first, so a modulus too large to count fails at once
+    residues = [x % n for x in elements]
+    m = len(residues)
+    ap = _progression(residues, n) if n % 2 and m else None
+    if ap is not None:
+        c, d = ap
+        k = _doubling_period(n, m)
+        if m + k * (n // gcd(d, n)) <= m * (m + 1) // 2:
+            _add_progression(counts, c, d, m, n, k)
+            return counts
     # A list of n counts fits in memory only for n far below 2^63.
     w, fmt = next(field for field in _FIELDS if 1 << (field[0] - 1) >= n)
     size = w // 8
     order = sys.byteorder
-    residues = [x % n for x in elements]
-    m = len(residues)
     row = int.from_bytes(pack(f"{m}{fmt}", *residues), order)
     ones = int.from_bytes(pack(fmt, 1) * m, order)
     bias = ((1 << (w - 1)) - n) * ones
@@ -108,35 +130,78 @@ def triangle_counts(elements, n: int) -> list[int]:
     return counts
 
 
-def _ap_counts(c: int, d: int, m: int, n: int) -> list[int]:
-    """``triangle_counts`` of the progression c, c+d, ..., c+(m-1)d mod n, in
-    closed form.
+def _progression(residues: list[int], n: int):
+    """(start, step) of the residues if they form a progression mod n, else
+    None."""
+    c = residues[0]
+    d = (residues[1] - c) % n if len(residues) > 1 else 0
+    if any(r != (c + j * d) % n for j, r in enumerate(residues)):
+        return None
+    return c, d
 
-    Row i of the triangle is again a progression, with start s and step t,
-    and row i+1 has start 2s+t and step 2t.  A row of length L repeats with
-    period P = n/gcd(t, n): each of its L // P full periods adds one to every
-    residue of the coset s + gcd(t, n)Z, and only the L % P entries left over
-    are counted one by one.  The coset additions are kept per gcd and spread
-    over the residues once at the end.
+
+def _doubling_period(n: int, m: int) -> int:
+    """min(ord_n(2), m) for odd n, found with at most m doublings."""
+    one = 1 % n
+    x = 2 % n
+    for k in range(1, m):
+        if x == one:
+            return k
+        x = 2 * x % n
+    return m
+
+
+def _row_class(a: int, k: int, m: int, big_n: int) -> list[int]:
+    """Entry counts over y in Z/N of the rows i = a (mod k) of a length-m
+    progression triangle, N odd; see ``_add_row_class`` for what y is.
+
+    Row i, of length m - i, covers y = i/2, i/2 + 1, ... mod N: its full
+    periods add to every y alike, and its partial run is one interval,
+    marked in a difference array.  The table is the prefix sums.
     """
-    counts = [0] * n
-    per_coset: dict[int, list[int]] = {}  # gcd g -> additions per residue mod g
-    s, t = c % n, d % n
-    for length in range(m, 0, -1):
-        g = gcd(t, n)  # recomputed per row: for even n, 2t can share more with n
-        q, r = divmod(length, n // g)
-        if q:
-            if g not in per_coset:
-                per_coset[g] = [0] * g
-            per_coset[g][s % g] += q
+    half = (big_n + 1) // 2  # the inverse of 2 mod N
+    full = 0
+    diff = [0] * (big_n + 1)
+    for i in range(a, m, k):
+        q, r = divmod(m - i, big_n)
+        full += q
         if r:
-            for x in range(s, s + r * t, t):
-                counts[x % n] += 1
-        s, t = (2 * s + t) % n, 2 * t % n
-    for g, added in per_coset.items():
-        for x in range(n):
-            counts[x] += added[x % g]
-    return counts
+            s = i * half % big_n
+            diff[s] += 1
+            e = s + r
+            if e > big_n:  # the run wraps past N - 1 to 0
+                diff[0] += 1
+                e -= big_n
+            diff[e] -= 1
+    diff.pop()
+    return [full + x for x in accumulate(diff)]
+
+
+def _add_row_class(
+    counts: list[int], table: list[int], u: int, c: int, d: int, n: int
+) -> None:
+    """Add one row class of the progression (c, d) mod odd n to counts.
+
+    Entry j of row i is 2^i (c + y d) mod n with y = i/2 + j, which depends
+    on y only mod N = n/gcd(d, n).  The rows of a class share u = 2^i mod n,
+    and ``table`` holds their entry counts over y in Z/N.
+    """
+    x, step = u * c % n, u * d % n
+    for t in table:
+        counts[x] += t
+        x += step
+        if x >= n:
+            x -= n
+
+
+def _add_progression(counts: list[int], c: int, d: int, m: int, n: int, k: int) -> None:
+    """Add the triangle of the length-m progression (c, d) mod odd n to
+    counts, one row class at a time; k is min(ord_n(2), m)."""
+    big_n = n // gcd(d, n)
+    u = 1 % n
+    for a in range(k):
+        _add_row_class(counts, _row_class(a, k, m, big_n), u, c, d, n)
+        u = 2 * u % n
 
 
 def _unit_orbit_min(x: int, k: int, n: int) -> int:
@@ -185,17 +250,36 @@ def search_balanced_ap(n: int, m: int):
     Balance is the same for every pair of a symmetry orbit, so only the
     smallest pair of each orbit is counted: the first balanced one is the
     first balanced pair of the whole scan.
+
+    For odd n, a step d that shares a factor g > 1 with n is skipped: mod g
+    every entry (i, j) is 2^i c, so the entries miss the residues = 0 mod g
+    when c is not = 0 mod g, and all others when it is.  So N = n for every
+    candidate, and the k row-class tables over Z/n are built once per call
+    and shared by all of them.  For even n, which only
+    the tests ask for, each candidate's expanded progression goes through
+    ``triangle_counts``.
     """
     total = m * (m + 1) // 2
     if total % n:
         return None
     target = total // n
+    if n % 2:
+        k = _doubling_period(n, m)
+        classes = [(pow(2, a, n), _row_class(a, k, m, n)) for a in range(k)]
     for c in range(n):
         if gcd(c, n) % n != c:  # no pair of this row is least in its orbit
             continue
         for d in range(n):
-            if _orbit_least(c, d, m, n) and all(
-                v == target for v in _ap_counts(c, d, m, n)
-            ):
+            if n % 2 and gcd(d, n) != 1:  # never balanced, see above
+                continue
+            if not _orbit_least(c, d, m, n):
+                continue
+            if n % 2:
+                counts = [0] * n
+                for u, table in classes:
+                    _add_row_class(counts, table, u, c, d, n)
+            else:
+                counts = triangle_counts([c + j * d for j in range(m)], n)
+            if all(v == target for v in counts):
                 return (c, d)
     return None

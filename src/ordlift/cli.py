@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 from ordlift.lifting import (
@@ -50,6 +51,22 @@ def _residue_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         ) from None
+
+
+# argparse takes any argument that starts with "-" for an option unless it
+# is a single negative number, so a list such as -1,-2,-3 needs a "--" first.
+_NEGATIVE_LIST = re.compile(r"-\d+(\s*,\s*-?\d+)+")
+
+
+def _separate_negative_list(argv: list[str]) -> list[str]:
+    """argv with "--" put before a residue list that starts with a negative
+    number, unless a "--" comes earlier."""
+    for i, arg in enumerate(argv):
+        if arg == "--":
+            break
+        if _NEGATIVE_LIST.fullmatch(arg):
+            return argv[:i] + ["--"] + argv[i:]
+    return argv
 
 
 _FUNCTIONS = {
@@ -193,7 +210,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_separate_negative_list(argv))
     try:
         return args.handler(args)
     except _UsageError as exc:

@@ -4,11 +4,16 @@ The triangle of a finite sequence is the multiset of all iterated pairwise
 sums: each row is the mod-n sums of adjacent entries of the row above, and a
 length-m sequence contributes m(m+1)/2 entries in total.  A sequence is
 balanced when every residue class appears equally often.  Balance forces
-n | m(m+1)/2.  The pure-Python progression search tests one progression per
-orbit of the two maps that preserve balance, scaling by a unit and reversal,
-and counts each candidate's triangle in closed form, since every row of a
-progression's triangle is again a progression.  Sequences and triangle
-summaries are named tuples.
+n | m(m+1)/2.
+
+The triangle of a progression mod odd n has a closed form by row classes:
+row i is 2^i times a shifted progression, so rows whose i agree mod
+ord_n(2) share one table of counts that does not depend on the
+progression.  The pure-Python progression search builds those tables once
+per call and tests one progression per orbit of the two maps that preserve
+balance, scaling by a unit and reversal.  ``triangle`` counts a progression
+the same way when that costs fewer steps than the triangle has entries.
+Sequences and triangle summaries are named tuples.
 """
 
 from __future__ import annotations
@@ -81,7 +86,8 @@ class TriangleSummary(
 
 
 def triangle(seq: ZnSequence) -> TriangleSummary:
-    """Triangle of a sequence, built row by row with pairwise sums."""
+    """Triangle of a sequence: the residue counts of all its rows of
+    pairwise sums, and whether they are balanced."""
     counts = _backend.triangle_counts(seq.elements, seq.modulus)
     return TriangleSummary(
         modulus=seq.modulus,
@@ -119,11 +125,14 @@ def search_balanced_ap(n: int, m: int):
 
     The search visits the pairs in that order but counts only the smallest
     pair of each orbit under (c, d) -> (uc, ud) for units u and
-    (c, d) -> (c + (m-1)d, -d), both of which preserve balance, and counts
-    each row of its triangle in closed form; the result is still the
-    lexicographically first witness of the full scan.  This search runs in
-    pure Python even when the compiled kernels are built, since their full
-    scan of all n**2 pairs is the slower route past n of about 25.
+    (c, d) -> (c + (m-1)d, -d), both of which preserve balance, and skips
+    steps that share a factor with n, which are never balanced; the result
+    is still the lexicographically first witness of the full scan.  Each
+    candidate's triangle is counted in closed form by row classes, from k
+    tables of n counts, k = min(ord_n(2), m), built once per call.  This
+    search runs in pure Python even when the compiled kernels are built,
+    since their full scan of all n**2 pairs is the slower route past n of
+    about 15.
 
     Odd n only: that is where balanced progressions are known to exist for
     lengths in the right congruence classes, and the scan is not meaningful

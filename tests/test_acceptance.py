@@ -36,11 +36,10 @@ from ordlift.orders import (
 )
 from ordlift.steinhaus import (
     ZnSequence,
-    ap_sequence,
-    is_balanced,
     search_balanced_ap,
     triangle,
 )
+from oracles import literal_balanced
 from reference_grid import ALPHA_GRID
 
 
@@ -224,7 +223,9 @@ def test_criterion_09_steinhaus():
         for m in {a2 * n, a2 * n - 1, b2 * n, b2 * n - 1}:
             expected_hits += 1
             hit = search_balanced_ap(n, m)
-            if hit is not None and is_balanced(ap_sequence(hit[0], hit[1], m, n)):
+            if hit is not None and literal_balanced(
+                [hit[0] + k * hit[1] for k in range(m)], n
+            ):
                 witnesses_found += 1
     elapsed = time.perf_counter() - t0
     ok = ok and witnesses_found == expected_hits and elapsed < 30.0

@@ -11,6 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import ordlift
+from ordlift import _pykernels
 from ordlift.cli import main
 from reference_grid import ALPHA_GRID
 
@@ -163,14 +164,27 @@ def test_steinhaus_triangle_output():
     code, out, _ = run_cli("steinhaus", "triangle", "3", "1,1")
     assert code == 0
     assert out.strip() == "balanced: false; counts: 0:0 1:2 2:1"
+    # A list that starts with a negative residue is no option.
+    for argv in (["-1,-2,-3"], ["-1, -2,-3"], ["1,-2,-3"], ["--", "-1,-2,-3"]):
+        code, out, _ = run_cli("steinhaus", "triangle", "3", *argv)
+        assert code == 0, argv
+        assert out.strip() == "balanced: false; counts: 0:2 1:3 2:1", argv
 
 
-def test_steinhaus_triangle_huge_modulus_exits_1():
-    # No list of 10**15 counts can be allocated, so this fails at once.
-    code, out, err = run_cli("steinhaus", "triangle", str(10**15), "1,2")
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and "too large" in err
-    assert len(err.strip().splitlines()) == 1
+def test_steinhaus_triangle_huge_modulus_exits_1(monkeypatch):
+    # No list of 10**15 counts can be allocated, so this fails at once, also
+    # for a progression mod odd n, before any row-class table is built.
+    def no_tables(*args):
+        raise AssertionError("row-class table built")
+
+    monkeypatch.setattr(_pykernels, "_row_class", no_tables)
+    for n, seq in ((10**15, "1,2"), (10**15 + 1, "1,2,3")):
+        t0 = time.perf_counter()
+        code, out, err = run_cli("steinhaus", "triangle", str(n), seq)
+        assert time.perf_counter() - t0 < 5.0
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "too large" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_steinhaus_search_output():

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordlift import _backend, _pykernels
+from oracles import literal_triangle_counts
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ordlift"
@@ -106,21 +107,35 @@ def test_scan_caps_on_noncoprime_base(compiled):
         _pykernels.proj_order_scan(6, 10)
 
 
-def literal_triangle_counts(elements, n):
-    """The reference: every row built from the one above, entry by entry."""
-    row = [x % n for x in elements]
-    counts = [0] * n
-    for x in row:
-        counts[x] += 1
-    while len(row) > 1:
-        row = [(row[i] + row[i + 1]) % n for i in range(len(row) - 1)]
-        for x in row:
-            counts[x] += 1
-    return counts
-
-
 # Moduli on both sides of each field width of the packed pure-Python rows.
 WIDTH_BOUNDARIES = (1, 2, 63, 64, 65, 127, 128, 129, 255, 256, 257, 32767, 32768, 32769, 65537)
+
+
+def order_of_two(n):
+    """ord_n(2) for odd n, by literal doubling."""
+    k, x = 1, 2 % n
+    while x != 1 % n:
+        k, x = k + 1, 2 * x % n
+    return k
+
+
+def takes_row_classes(d, m, n):
+    """True iff triangle_counts counts the progression with step d by row
+    classes: n odd and m + min(ord_n(2), m) * n/gcd(d, n) <= m(m+1)/2."""
+    k = min(order_of_two(n), m)
+    return n % 2 == 1 and m + k * (n // math.gcd(d, n)) <= m * (m + 1) // 2
+
+
+def progression_cases():
+    """1200 progressions (c, d, m, n) with n <= 36 of either parity, steps
+    of every gcd with n, and lengths up to 80."""
+    rng = random.Random(41)
+    cases = [(0, 0, 5, 1), (0, 3, 7, 12), (2, 4, 30, 8), (1, 6, 40, 9)]
+    while len(cases) < 1200:
+        n = rng.randint(1, 36)
+        g = rng.choice([k for k in range(1, n + 1) if n % k == 0])
+        cases.append((rng.randrange(n), g * rng.randrange(n) % n, rng.randint(1, 80), n))
+    return cases
 
 
 def test_triangle_counts_agree(compiled):
@@ -132,6 +147,27 @@ def test_triangle_counts_agree(compiled):
     for n in WIDTH_BOUNDARIES:
         for m in (1, 2, 3, 40):
             cases.append(([rng.randrange(-2 * n, 2 * n) for _ in range(m)], n))
+    # Progressions mod even n, which the row classes never count.
+    for c, d, m, n in progression_cases():
+        if n % 2 == 0:
+            cases.append(([(c + k * d) % n for k in range(m)], n))
+    routes = set()
+    for _ in range(300):
+        n = rng.randrange(1, 62, 2)
+        c, d, m = rng.randrange(n), rng.randrange(n), rng.randint(3, 3 * n)
+        routes.add(takes_row_classes(d, m, n))
+        ap = [(c + k * d) % n for k in range(m)]
+        # Unreduced elements in [-2n, 2n) of the same progression.
+        cases.append(([x + n * rng.randrange(-2, 2) for x in ap], n))
+        # Off by one in the last element, so no longer a progression.
+        cases.append((ap[:-1] + [ap[-1] + 1], n))
+    assert routes == {False, True}
+    # Odd-n progressions that the cost rule leaves to the packed kernel.
+    for n in WIDTH_BOUNDARIES[2:]:
+        for m in (3, 4, 40):
+            c, d = rng.randrange(n), rng.randrange(n)
+            if n % 2 and not takes_row_classes(d, m, n):
+                cases.append(([c + k * d for k in range(m)], n))
     for seq, n in cases:
         expected = literal_triangle_counts(seq, n)
         assert compiled.triangle_counts(seq, n) == expected, (seq, n)
@@ -172,19 +208,31 @@ def test_search_agrees(compiled):
 
 
 def test_closed_form_counts_match_row_by_row():
-    rng = random.Random(41)
-    cases = [(0, 0, 5, 1), (0, 3, 7, 12), (2, 4, 30, 8), (1, 6, 40, 9)]
-    while len(cases) < 1200:
-        n = rng.randint(1, 36)
+    rng = random.Random(43)
+    cases = [case for case in progression_cases() if case[3] % 2]
+    cases += [(0, 0, 1, 1), (0, 0, 2, 1), (0, 0, 17, 1), (4, 6, 1, 9), (4, 6, 2, 9)]
+    # Lengths past n * ord_n(2), where the rows of a class repeat in full.
+    for n in (3, 5, 7, 9, 11, 15, 17, 21):
+        for _ in range(12):
+            m = n * order_of_two(n) + rng.randint(1, 2 * n)
+            cases.append((rng.randrange(n), rng.randrange(n), m, n))
+    while len(cases) < 1500:
+        n = rng.randrange(1, 62, 2)
         g = rng.choice([k for k in range(1, n + 1) if n % k == 0])
-        cases.append((rng.randrange(n), g * rng.randrange(n) % n, rng.randint(1, 80), n))
-    assert any(n % 2 == 0 for *_, n in cases)
+        d = g * rng.randrange(n) % n
+        cases.append((rng.randrange(n), d, rng.randint(1, 3 * n), n))
+    assert len(cases) >= 1200 and all(n % 2 for *_, n in cases)
+    assert any(m > n * order_of_two(n) for _, _, m, n in cases)
     assert any(math.gcd(d, n) not in (1, n) for _, d, _, n in cases)
+    assert {1, 2} <= {m for *_, m, n in cases if n > 1}
+    assert any(n == 1 for *_, n in cases)
     for c, d, m, n in cases:
-        expanded = [(c + k * d) % n for k in range(m)]
-        assert _pykernels._ap_counts(c, d, m, n) == literal_triangle_counts(
-            expanded, n
-        ), (c, d, m, n)
+        k = min(order_of_two(n), m)
+        assert _pykernels._doubling_period(n, m) == k, (n, m)
+        counts = [0] * n
+        _pykernels._add_progression(counts, c, d, m, n, k)
+        expanded = [(c + j * d) % n for j in range(m)]
+        assert counts == literal_triangle_counts(expanded, n), (c, d, m, n)
 
 
 def test_orbit_least_matches_enumerated_orbit():

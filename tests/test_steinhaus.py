@@ -17,6 +17,7 @@ from ordlift.steinhaus import (
     search_balanced_ap,
     triangle,
 )
+from oracles import literal_balanced, literal_search, literal_triangle_counts
 
 # Moduli past 128 need 16-bit fields in the packed pure-Python kernel.
 sequences = st.integers(1, 300).flatmap(
@@ -68,6 +69,17 @@ def test_triangle_single_element():
     summary = triangle(ZnSequence(7, (4,)))
     assert summary.counts == (0, 0, 0, 0, 1, 0, 0)
     assert summary.length == 1 and summary.total == 1
+
+
+def test_triangle_of_progression_mod_large_odd_n(monkeypatch):
+    # The triangle has 15 entries, far fewer than 5 row classes over
+    # Z/1000003 would cost, so the packed kernel counts it.
+    def no_tables(*args):
+        raise AssertionError("row-class table built")
+
+    monkeypatch.setattr(_pykernels, "_row_class", no_tables)
+    seq = ap_sequence(1, 2, 5, 1_000_003)
+    assert triangle(seq).counts == tuple(literal_triangle_counts(seq.elements, seq.modulus))
 
 
 def test_triangle_hand_computed():
@@ -184,8 +196,9 @@ def test_search_balanced_ap_rejects_even():
 
 
 def test_search_returns_lexicographically_first():
-    # The literal scan over all n**2 progressions is the oracle: the search
-    # tests one pair per symmetry orbit and counts in closed form instead.
+    # The literal scan over all n**2 progressions, with literal triangle
+    # counts, is the oracle: the search tests one pair per symmetry orbit and
+    # counts by row classes instead.
     grid = {(n, m) for n in (3, 5, 7, 9) for m in range(1, 25)}
     grid |= {
         (n, m)
@@ -194,17 +207,7 @@ def test_search_returns_lexicographically_first():
         if length_admissible(m, n)
     }
     for n, m in sorted(grid):
-        hit = search_balanced_ap(n, m)
-        reference = next(
-            (
-                (c, d)
-                for c in range(n)
-                for d in range(n)
-                if is_balanced(ap_sequence(c, d, m, n))
-            ),
-            None,
-        )
-        assert hit == reference, (n, m)
+        assert search_balanced_ap(n, m) == literal_search(n, m), (n, m)
 
 
 def test_search_found_witnesses_are_balanced():
@@ -212,4 +215,4 @@ def test_search_found_witnesses_are_balanced():
         for m in (n - 1, n, 2 * n - 1, 2 * n):
             hit = search_balanced_ap(n, m)
             if hit is not None:
-                assert is_balanced(ap_sequence(hit[0], hit[1], m, n))
+                assert literal_balanced([hit[0] + k * hit[1] for k in range(m)], n)
