@@ -55,16 +55,18 @@ def _residue_list(text: str) -> list[int]:
 
 # argparse takes any argument that starts with "-" for an option unless it
 # is a single negative number, so a list such as -1,-2,-3 needs a "--" first.
-_NEGATIVE_LIST = re.compile(r"-\d+(\s*,\s*-?\d+)+")
+# Any argument that starts like such a list gets it, well-formed or not, so
+# that _residue_list reports a malformed one.
+_NEGATIVE_LIST = re.compile(r"-\d+\s*,")
 
 
 def _separate_negative_list(argv: list[str]) -> list[str]:
-    """argv with "--" put before a residue list that starts with a negative
-    number, unless a "--" comes earlier."""
+    """argv with "--" put before an argument that starts with a negative
+    number and a comma, unless a "--" comes earlier."""
     for i, arg in enumerate(argv):
         if arg == "--":
             break
-        if _NEGATIVE_LIST.fullmatch(arg):
+        if _NEGATIVE_LIST.match(arg):
             return argv[:i] + ["--"] + argv[i:]
     return argv
 

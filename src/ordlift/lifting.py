@@ -11,7 +11,10 @@ an error and not a silent fallback.
 
 This module validates such pairs, applies the transfer formulas and the
 prime-power shortcuts, and sweeps all of these laws in ``verify_claims``
-against the phi-stripping reference and the scan oracles.  The order engine
+against the phi-stripping reference and the scan oracles.  The laws are
+registered in one place, the ordered mapping ``_LAWS`` from law name to a
+small generator that yields one outcome per check, so a new law is one more
+entry there.  The order engine
 in ``orders`` applies the same lifting prime by prime, so the *_fast names
 are the engine's functions themselves; no BasePair is built on that path.
 Pairs, per-law results and sweep reports are named tuples.
@@ -20,8 +23,10 @@ Pairs, per-law results and sweep reports are named tuples.
 from __future__ import annotations
 
 import math
+import os
 from collections import namedtuple
 from enum import Enum
+from functools import lru_cache
 
 from ordlift.arith import (
     divisors,
@@ -197,24 +202,6 @@ def beta_prime_power(a: int, p: int, k: int) -> int:
 
 # --- verification sweep -----------------------------------------------------
 
-_LAW_NAMES = (
-    "order-lift-exact",
-    "alpha-lift-exact",
-    "beta-lift-exact",
-    "alpha-routes-agree",
-    "beta-routes-agree",
-    "alpha-reduction-divides",
-    "alpha-coprime-lcm",
-    "alpha-prime-power-stable",
-    "beta-prime-power-stable",
-    "alpha-beta-ratio-transfer",
-    "alpha-equals-beta-above-4",
-    "alpha-beta-alternative",
-    "alpha-divides-phi-quotient",
-    "prime-power-order-growth",
-    "rejected-pair-guard",
-)
-
 _PRIME_POWER_MAX_P = 50
 _PRIME_POWER_MAX_K = 6
 
@@ -249,20 +236,6 @@ class VerificationReport(namedtuple("VerificationReport", "n_max a_max laws")):
         return sum(law.failed for law in self.laws)
 
 
-class _Tally:
-    __slots__ = ("checked", "failed", "first")
-
-    def __init__(self):
-        self.checked = 0
-        self.failed = 0
-        self.first = None
-
-    def fail(self, detail: str) -> None:
-        self.failed += 1
-        if self.first is None:
-            self.first = detail
-
-
 def _divides(d: int, x: int) -> bool:
     if d == 0:
         return x == 0
@@ -290,243 +263,254 @@ def _beta_phi(a: int, n: int) -> int:
     return d
 
 
-def _check_range(args: tuple[int, int, int, int]) -> list[tuple]:
-    """Run every law for n1 in [lo, hi]; returns per-law tallies in order."""
-    lo, hi, n_max, a_max = args
-    t = {law: _Tally() for law in _LAW_NAMES}
+# Several laws at one n1 ask for the same units; n1 is the sweep's outer loop.
+@lru_cache(maxsize=1)
+def _units(n: int, a_max: int) -> tuple[int, ...]:
+    """The bases a in 1..a_max with gcd(a, n) = 1."""
+    return tuple(a for a in range(1, a_max + 1) if math.gcd(a, n) == 1)
 
-    for n1 in range(lo, hi + 1):
-        rad = radical(n1)
-        v2 = valuation(n1, 2)
-        coprime_as = [a for a in range(1, a_max + 1) if math.gcd(a, n1) == 1]
 
-        # Exact transfer from every admissible base modulus.
-        for n2 in admissible_bases(n1):
-            pair = make_base_pair(n1, n2)
-            for a in coprime_as:
-                direct = _order_phi(a % n1, n1)
-                got = lift_order(pair, a)
-                t["order-lift-exact"].checked += 1
-                if got != direct:
-                    t["order-lift-exact"].fail(
-                        f"n1={n1} n2={n2} a={a}: lifted {got} != direct {direct}"
-                    )
-                da = _alpha_phi(a, n1)
-                ga = lift_alpha(pair, a)
-                t["alpha-lift-exact"].checked += 1
-                if ga != da:
-                    t["alpha-lift-exact"].fail(
-                        f"n1={n1} n2={n2} a={a}: lifted {ga} != direct {da}"
-                    )
-                db = _beta_phi(a, n1)
-                gb = lift_beta(pair, a)
-                t["beta-lift-exact"].checked += 1
-                if gb != db:
-                    t["beta-lift-exact"].fail(
-                        f"n1={n1} n2={n2} a={a}: lifted {gb} != direct {db}"
-                    )
+# Exact transfer from every admissible base modulus.
+def _lift_exact(n1, a_max, lift, direct):
+    units = _units(n1, a_max)
+    for n2 in admissible_bases(n1):
+        pair = make_base_pair(n1, n2)
+        for a in units:
+            want = direct(a % n1, n1)
+            got = lift(pair, a)
+            yield got == want or f"n1={n1} n2={n2} a={a}: lifted {got} != direct {want}"
 
-        # Three independent routes to alpha and beta must agree, for all a:
-        # phi-stripping, the order engine and the exponent scan.
+
+# Three independent routes to alpha and beta must agree, for all a:
+# phi-stripping, the order engine and the exponent scan.
+def _routes_agree(n1, a_max, direct, fast, oracle):
+    for a in range(1, a_max + 1):
+        d, f, o = direct(a, n1), fast(a, n1), oracle(a, n1)
+        yield d == f == o or f"n={n1} a={a}: direct {d}, fast {f}, oracle {o}"
+
+
+def _alpha_reduction_divides(n1, n_max, a_max):
+    # alpha at n1 divides alpha at any n2 with rad(n1) | n2 | n1
+    # (no 2-adic restriction here: only divisibility is claimed).
+    rad = radical(n1)
+    for n2 in (rad * d for d in divisors(n1 // rad)):
         for a in range(1, a_max + 1):
-            da = _alpha_phi(a, n1)
-            fa = alpha_fast(a, n1)
-            oa = alpha_oracle(a, n1)
-            t["alpha-routes-agree"].checked += 1
-            if not (da == fa == oa):
-                t["alpha-routes-agree"].fail(
-                    f"n={n1} a={a}: direct {da}, fast {fa}, oracle {oa}"
-                )
-            db = _beta_phi(a, n1)
-            fb = beta_fast(a, n1)
-            ob = beta_oracle(a, n1)
-            t["beta-routes-agree"].checked += 1
-            if not (db == fb == ob):
-                t["beta-routes-agree"].fail(
-                    f"n={n1} a={a}: direct {db}, fast {fb}, oracle {ob}"
-                )
+            top, base = alpha(a, n1), alpha(a, n2)
+            yield _divides(top, base) or (
+                f"n1={n1} n2={n2} a={a}: alpha(n1)={top} "
+                f"does not divide alpha(n2)={base}"
+            )
 
-        # alpha at n1 divides alpha at any n2 with rad(n1) | n2 | n1
-        # (no 2-adic restriction here: only divisibility is claimed).
-        for n2 in (rad * d for d in divisors(n1 // rad)):
-            for a in range(1, a_max + 1):
-                t["alpha-reduction-divides"].checked += 1
-                if not _divides(alpha(a, n1), alpha(a, n2)):
-                    t["alpha-reduction-divides"].fail(
-                        f"n1={n1} n2={n2} a={a}: alpha(n1)={alpha(a, n1)} "
-                        f"does not divide alpha(n2)={alpha(a, n2)}"
-                    )
 
-        # Coprime splits n1 = m1 * m2: alpha(n1) divides lcm of the parts.
-        for m1 in divisors(n1):
-            m2 = n1 // m1
-            if m1 > m2 or math.gcd(m1, m2) != 1:
-                continue
-            for a in range(1, a_max + 1):
-                t["alpha-coprime-lcm"].checked += 1
-                if not _divides(alpha(a, n1), math.lcm(alpha(a, m1), alpha(a, m2))):
-                    t["alpha-coprime-lcm"].fail(
-                        f"m1={m1} m2={m2} a={a}: alpha({n1})={alpha(a, n1)} does "
-                        f"not divide lcm({alpha(a, m1)}, {alpha(a, m2)})"
-                    )
+def _alpha_coprime_lcm(n1, n_max, a_max):
+    # Coprime splits n1 = m1 * m2: alpha(n1) divides lcm of the parts.
+    for m1 in divisors(n1):
+        m2 = n1 // m1
+        if m1 > m2 or math.gcd(m1, m2) != 1:
+            continue
+        for a in range(1, a_max + 1):
+            whole, part1, part2 = alpha(a, n1), alpha(a, m1), alpha(a, m2)
+            yield _divides(whole, math.lcm(part1, part2)) or (
+                f"m1={m1} m2={m2} a={a}: alpha({n1})={whole} does "
+                f"not divide lcm({part1}, {part2})"
+            )
 
-        # Prime-power stability: alpha at p**k is the order mod p, beta at
-        # p**k is beta at p, independent of k.
-        if n1 <= _PRIME_POWER_MAX_P and is_prime(n1):
-            p = n1
-            for k in range(1, _PRIME_POWER_MAX_K + 1):
-                pk = p**k
-                for a in range(1, a_max + 1):
-                    t["alpha-prime-power-stable"].checked += 1
-                    if alpha_prime_power(a, p, k) != alpha(a, pk):
-                        t["alpha-prime-power-stable"].fail(
-                            f"p={p} k={k} a={a}: shortcut "
-                            f"{alpha_prime_power(a, p, k)} != alpha {alpha(a, pk)}"
-                        )
-                    t["beta-prime-power-stable"].checked += 1
-                    if beta_prime_power(a, p, k) != beta(a, pk):
-                        t["beta-prime-power-stable"].fail(
-                            f"p={p} k={k} a={a}: shortcut "
-                            f"{beta_prime_power(a, p, k)} != beta {beta(a, pk)}"
-                        )
 
-        # alpha/beta ratio transfers between same-radical moduli when both
-        # have v2 <= 1; with v2 >= 2 the ratio collapses to 1.  (The transfer
-        # genuinely needs v2(n2) <= 1 too: alpha_10(3)/beta_10(3) = 2 while
-        # alpha_20(3)/beta_20(3) = 1.)
-        if v2 <= 1:
-            for n2 in range(rad, n_max + 1, rad):
-                if radical(n2) != rad or valuation(n2, 2) > 1:
-                    continue
-                for a in coprime_as:
-                    t["alpha-beta-ratio-transfer"].checked += 1
-                    if alpha(a, n1) * beta(a, n2) != alpha(a, n2) * beta(a, n1):
-                        t["alpha-beta-ratio-transfer"].fail(
-                            f"n1={n1} n2={n2} a={a}: {alpha(a, n1)}/{beta(a, n1)}"
-                            f" != {alpha(a, n2)}/{beta(a, n2)}"
-                        )
+# Prime-power stability: alpha at p**k is the order mod p, beta at p**k is
+# beta at p, independent of k.
+def _prime_power_stable(p, a_max, shortcut, value, name):
+    if p > _PRIME_POWER_MAX_P or not is_prime(p):
+        return
+    for k in range(1, _PRIME_POWER_MAX_K + 1):
+        for a in range(1, a_max + 1):
+            short, full = shortcut(a, p, k), value(a, p**k)
+            yield short == full or (
+                f"p={p} k={k} a={a}: shortcut {short} != {name} {full}"
+            )
+
+
+def _alpha_beta_ratio_transfer(n1, n_max, a_max):
+    # alpha/beta ratio transfers between same-radical moduli when both have
+    # v2 <= 1.  (The transfer genuinely needs v2(n2) <= 1 too:
+    # alpha_10(3)/beta_10(3) = 2 while alpha_20(3)/beta_20(3) = 1.)
+    if n1 % 4 == 0:
+        return
+    rad = radical(n1)
+    units = _units(n1, a_max)
+    for n2 in range(rad, n_max + 1, rad):
+        if radical(n2) != rad or n2 % 4 == 0:
+            continue
+        for a in units:
+            a1, b1, a2, b2 = alpha(a, n1), beta(a, n1), alpha(a, n2), beta(a, n2)
+            yield a1 * b2 == a2 * b1 or (
+                f"n1={n1} n2={n2} a={a}: {a1}/{b1} != {a2}/{b2}"
+            )
+
+
+def _alpha_equals_beta_above_4(n1, n_max, a_max):
+    # With v2 >= 2 the ratio collapses to 1.
+    if n1 % 4:
+        return
+    for a in _units(n1, a_max):
+        da, db = alpha(a, n1), beta(a, n1)
+        yield da == db or f"n={n1} a={a}: alpha {da} != beta {db}"
+
+
+def _alpha_beta_alternative(n1, n_max, a_max):
+    for a in _units(n1, a_max):
+        da, db = alpha(a, n1), beta(a, n1)
+        yield da in (db, 2 * db) or f"n={n1} a={a}: alpha {da}, beta {db}"
+
+
+def _alpha_divides_phi_quotient(n1, n_max, a_max):
+    phi = euler_phi(n1)
+    phi_quot = phi // math.gcd(phi, n1)
+    for a in _units(n1, a_max):
+        da = alpha(a, n1)
+        yield phi_quot % da == 0 or (
+            f"n={n1} a={a}: alpha {da} does not divide {phi_quot}"
+        )
+
+
+def _prime_power_order_growth(n1, n_max, a_max):
+    # Order growth up prime powers: constant d until the valuation of
+    # a**d - 1 runs out, then one factor of p per step.
+    p = n1
+    if p > _PRIME_POWER_MAX_P or p == 2 or not is_prime(p):
+        return
+    for a in range(1, a_max + 1):
+        r = a % p
+        if r == 0 or r == 1 or r == p - 1:
+            continue
+        d = _order_phi(r, p)
+        k0 = valuation(remainder_gcd(a, p, p ** (_PRIME_POWER_MAX_K + 1)), p)
+        for k in range(1, _PRIME_POWER_MAX_K + 1):
+            expect = d * p ** max(0, k - k0)
+            got = _order_phi(a % p**k, p**k)
+            yield got == expect or f"p={p} k={k} a={a}: order {got} != {expect}"
+
+
+def _rejected_pair_guard(n1, n_max, a_max):
+    # Pairs that miss the factor 2*rad must be rejected, never computed.
+    if n1 % 4 == 0:
+        rad = radical(n1)
+        try:
+            make_base_pair(n1, rad)
+        except InvalidPairError as exc:
+            outcome = exc.reason == InvalidPairError.REASON_TWO_ADIC or (
+                f"(n1, rad) = ({n1}, {rad}) rejected for wrong reason {exc.reason}"
+            )
         else:
-            for a in coprime_as:
-                t["alpha-equals-beta-above-4"].checked += 1
-                if alpha(a, n1) != beta(a, n1):
-                    t["alpha-equals-beta-above-4"].fail(
-                        f"n={n1} a={a}: alpha {alpha(a, n1)} != beta {beta(a, n1)}"
-                    )
-
-        # alpha is beta or twice beta; alpha divides phi(n)/gcd(phi(n), n).
-        phi = euler_phi(n1)
-        phi_quot = phi // math.gcd(phi, n1)
-        for a in coprime_as:
-            da = alpha(a, n1)
-            db = beta(a, n1)
-            t["alpha-beta-alternative"].checked += 1
-            if da != db and da != 2 * db:
-                t["alpha-beta-alternative"].fail(
-                    f"n={n1} a={a}: alpha {da}, beta {db}"
-                )
-            t["alpha-divides-phi-quotient"].checked += 1
-            if phi_quot % da:
-                t["alpha-divides-phi-quotient"].fail(
-                    f"n={n1} a={a}: alpha {da} does not divide {phi_quot}"
-                )
-
-        # Order growth up prime powers: constant d until the valuation of
-        # a**d - 1 runs out, then one factor of p per step.
-        if n1 <= _PRIME_POWER_MAX_P and n1 != 2 and is_prime(n1):
-            p = n1
-            for a in range(1, a_max + 1):
-                r = a % p
-                if r == 0 or r == 1 or r == p - 1:
-                    continue
-                d = _order_phi(r, p)
-                k_cap = _PRIME_POWER_MAX_K + 1
-                k0 = valuation(remainder_gcd(a, p, p**k_cap), p)
-                for k in range(1, _PRIME_POWER_MAX_K + 1):
-                    expect = d * p ** max(0, k - k0)
-                    got = _order_phi(a % p**k, p**k)
-                    t["prime-power-order-growth"].checked += 1
-                    if got != expect:
-                        t["prime-power-order-growth"].fail(
-                            f"p={p} k={k} a={a}: order {got} != {expect}"
-                        )
-
-        # Pairs that miss the factor 2*rad must be rejected, never computed.
-        if v2 >= 2:
-            t["rejected-pair-guard"].checked += 1
-            try:
-                make_base_pair(n1, rad)
-            except InvalidPairError as exc:
-                if exc.reason != InvalidPairError.REASON_TWO_ADIC:
-                    t["rejected-pair-guard"].fail(
-                        f"(n1, rad) = ({n1}, {rad}) rejected for wrong reason "
-                        f"{exc.reason}"
-                    )
-            else:
-                t["rejected-pair-guard"].fail(
-                    f"(n1, rad) = ({n1}, {rad}) was not rejected"
-                )
-        if n1 == 24:
-            # The raw transfer formula applied to the rejected pair (24, 6)
-            # with a = 7 must give 4 while the true order is 2.
-            raw = _order_phi(7 % 6, 6) * (24 // remainder_gcd(7, 6, 24))
-            direct = _order_phi(7, 24)
-            t["rejected-pair-guard"].checked += 1
-            if not (raw == 4 and direct == 2):
-                t["rejected-pair-guard"].fail(
-                    f"raw formula gives {raw}, direct order {direct}; "
-                    "expected 4 and 2"
-                )
-
-    return [(law, t[law].checked, t[law].failed, t[law].first) for law in _LAW_NAMES]
+            outcome = f"(n1, rad) = ({n1}, {rad}) was not rejected"
+        yield outcome
+    if n1 == 24:
+        # The raw transfer formula applied to the rejected pair (24, 6)
+        # with a = 7 must give 4 while the true order is 2.
+        raw = _order_phi(7 % 6, 6) * (24 // remainder_gcd(7, 6, 24))
+        direct = _order_phi(7, 24)
+        yield (raw, direct) == (4, 2) or (
+            f"raw formula gives {raw}, direct order {direct}; expected 4 and 2"
+        )
 
 
-def _chunk_bounds(n_max: int, pieces: int) -> list[tuple[int, int]]:
-    pieces = max(1, min(pieces, n_max))
-    base, extra = divmod(n_max, pieces)
-    bounds = []
-    lo = 1
-    for i in range(pieces):
-        hi = lo + base - 1 + (1 if i < extra else 0)
-        bounds.append((lo, hi))
-        lo = hi + 1
-    return bounds
+# The law registry, in sweep order: law name -> generator law(n1, n_max, a_max)
+# that yields one item per check at the modulus n1, True for a pass or the
+# counterexample as text.  Laws look up the functions they check in this
+# module's globals when they run, so a patched function is the one checked.
+_LAWS = {
+    "order-lift-exact": lambda n1, n_max, a_max: _lift_exact(
+        n1, a_max, lift_order, _order_phi
+    ),
+    "alpha-lift-exact": lambda n1, n_max, a_max: _lift_exact(
+        n1, a_max, lift_alpha, _alpha_phi
+    ),
+    "beta-lift-exact": lambda n1, n_max, a_max: _lift_exact(
+        n1, a_max, lift_beta, _beta_phi
+    ),
+    "alpha-routes-agree": lambda n1, n_max, a_max: _routes_agree(
+        n1, a_max, _alpha_phi, alpha_fast, alpha_oracle
+    ),
+    "beta-routes-agree": lambda n1, n_max, a_max: _routes_agree(
+        n1, a_max, _beta_phi, beta_fast, beta_oracle
+    ),
+    "alpha-reduction-divides": _alpha_reduction_divides,
+    "alpha-coprime-lcm": _alpha_coprime_lcm,
+    "alpha-prime-power-stable": lambda n1, n_max, a_max: _prime_power_stable(
+        n1, a_max, alpha_prime_power, alpha, "alpha"
+    ),
+    "beta-prime-power-stable": lambda n1, n_max, a_max: _prime_power_stable(
+        n1, a_max, beta_prime_power, beta, "beta"
+    ),
+    "alpha-beta-ratio-transfer": _alpha_beta_ratio_transfer,
+    "alpha-equals-beta-above-4": _alpha_equals_beta_above_4,
+    "alpha-beta-alternative": _alpha_beta_alternative,
+    "alpha-divides-phi-quotient": _alpha_divides_phi_quotient,
+    "prime-power-order-growth": _prime_power_order_growth,
+    "rejected-pair-guard": _rejected_pair_guard,
+}
+
+
+def _sweep(bounds: tuple[int, int, int, int]) -> list[LawResult]:
+    """Run every law for n1 in [lo, hi]; one LawResult per law, in sweep order.
+
+    n1 is the outer loop, so each modulus's cached factorization and orders
+    are still warm when the next law asks for them.
+    """
+    lo, hi, n_max, a_max = bounds
+    tallies = [[0, 0, None] for _ in _LAWS]
+    for n1 in range(lo, hi + 1):
+        for tally, law in zip(tallies, _LAWS.values()):
+            for outcome in law(n1, n_max, a_max):
+                tally[0] += 1
+                if outcome is not True:
+                    tally[1] += 1
+                    if tally[2] is None:
+                        tally[2] = outcome
+    return [LawResult(name, *tally) for name, tally in zip(_LAWS, tallies)]
 
 
 def verify_claims(n_max: int, a_max: int, workers: int = 1) -> VerificationReport:
-    """Sweep every lifting law over n <= n_max, a <= a_max and report per-law
-    pass/fail counts with the first counterexample of each failing law.
+    """Sweep every registered law over n <= n_max, a <= a_max and report
+    per-law pass/fail counts with the first counterexample of each failing
+    law.
 
-    A correct implementation reports zero failures; any failure indicates a
-    bug, not a broken law.  Prime-power laws additionally cap p at 50 and k
-    at 6 to keep p**k at desk scale.  With workers > 1 the n-range is split
-    across min(workers, n_max) processes; the report (including which
-    counterexample is "first") is identical regardless of worker count.
+    The laws are registered in one place, the module's law registry, and run
+    in its order; each yields one outcome per check.  A correct
+    implementation reports zero failures; any failure indicates a bug, not a
+    broken law.  Prime-power laws additionally cap p at 50 and k at 6 to keep
+    p**k at desk scale.  With workers > 1 the n-range is split into chunks
+    across min(workers, n_max, os.cpu_count()) processes; the report
+    (including which counterexample is "first") is identical regardless of
+    worker count.
     """
     if n_max < 1 or a_max < 1:
         raise ValueError(f"bounds must be >= 1, got ({n_max}, {a_max})")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
-    chunks = [(lo, hi, n_max, a_max) for lo, hi in _chunk_bounds(n_max, workers * 8)]
-    processes = min(workers, len(chunks))
+    processes = min(workers, n_max, os.cpu_count() or 1)
     if processes == 1:
-        parts = [_check_range((1, n_max, n_max, a_max))]
+        parts = [_sweep((1, n_max, n_max, a_max))]
     else:
         import multiprocessing
 
+        size = -(-n_max // (processes * 8))  # eight chunks per process
+        chunks = [
+            (lo, min(lo + size - 1, n_max), n_max, a_max)
+            for lo in range(1, n_max + 1, size)
+        ]
         with multiprocessing.Pool(processes) as pool:
-            parts = pool.map(_check_range, chunks)
+            parts = pool.map(_sweep, chunks)
 
-    merged = {law: [0, 0, None] for law in _LAW_NAMES}
-    for part in parts:
-        for law, checked, failed, first in part:
-            entry = merged[law]
-            entry[0] += checked
-            entry[1] += failed
-            if entry[2] is None and first is not None:
-                entry[2] = first
+    # pool.map keeps the chunks in n order, so the first failing chunk holds
+    # the first counterexample of the whole sweep.
     laws = tuple(
-        LawResult(law, merged[law][0], merged[law][1], merged[law][2])
-        for law in _LAW_NAMES
+        LawResult(
+            results[0].law,
+            sum(r.checked for r in results),
+            sum(r.failed for r in results),
+            next((r.first_counterexample for r in results if not r.ok), None),
+        )
+        for results in zip(*parts)
     )
     return VerificationReport(n_max, a_max, laws)

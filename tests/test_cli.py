@@ -11,7 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import ordlift
-from ordlift import _pykernels
+from ordlift import _pykernels, lifting
 from ordlift.cli import main
 from reference_grid import ALPHA_GRID
 
@@ -157,6 +157,23 @@ def test_verify_with_workers():
     assert "0 failures" in out
 
 
+def test_verify_reports_failures_and_exits_one(monkeypatch):
+    real = lifting.lift_order
+
+    def lift_order(pair, a):  # off by one at 7 | n1, a = 3
+        return real(pair, a) + (pair.n1 % 7 == 0 and a == 3)
+
+    monkeypatch.setattr(lifting, "lift_order", lift_order)
+    code, out, _ = run_cli("verify", "60", "6")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "FAIL order-lift-exact (8 of 293 checks failed)"
+    assert lines[1] == "  first counterexample: n1=7 n2=7 a=3: lifted 7 != direct 6"
+    assert all(line.startswith("PASS ") for line in lines[2:-1])
+    assert len(lines) == 17
+    assert lines[-1] == "FAIL: 15 laws, 5001 checks, 8 failures"
+
+
 def test_steinhaus_triangle_output():
     code, out, _ = run_cli("steinhaus", "triangle", "5", "2,2,3,3")
     assert code == 0
@@ -169,6 +186,11 @@ def test_steinhaus_triangle_output():
         code, out, _ = run_cli("steinhaus", "triangle", "3", *argv)
         assert code == 0, argv
         assert out.strip() == "balanced: false; counts: 0:2 1:3 2:1", argv
+    # A malformed list is reported as one, also when it starts with "-".
+    for seq in ("-1,x", "-1,", "1,x"):
+        code, out, err = run_cli("steinhaus", "triangle", "3", seq)
+        assert code == 2 and out == "", seq
+        assert f"expected comma-separated integers, got '{seq}'" in err, seq
 
 
 def test_steinhaus_triangle_huge_modulus_exits_1(monkeypatch):

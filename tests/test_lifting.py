@@ -2,6 +2,7 @@
 
 import math
 import multiprocessing
+import os
 import random
 import time
 
@@ -9,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordlift import arith, orders
+from ordlift import arith, lifting, orders
 from ordlift.arith import radical, valuation
 from ordlift.errors import InvalidPairError, NotCoprimeError
 from ordlift.lifting import (
+    BasePair,
     TwoAdicCase,
     admissible_bases,
     alpha_fast,
@@ -289,9 +291,13 @@ def test_verify_claims_parallel_matches_serial():
     assert serial == parallel
 
 
-def test_verify_claims_pool_never_exceeds_chunks(monkeypatch):
-    # A recorder in place of multiprocessing.Pool: it maps in-process and
-    # starts no process, so the pool sizes asked for can be checked cheaply.
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The process counts verify_claims asks multiprocessing.Pool for.
+
+    A recorder takes the place of the pool: it maps in-process and starts no
+    process, so the pool sizes asked for can be checked cheaply.
+    """
     sizes = []
 
     class Recorder:
@@ -308,7 +314,159 @@ def test_verify_claims_pool_never_exceeds_chunks(monkeypatch):
             return list(map(fn, items))
 
     monkeypatch.setattr(multiprocessing, "Pool", Recorder)
+    return sizes
+
+
+def test_verify_claims_pool_never_exceeds_chunks(monkeypatch, pool_sizes):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert verify_claims(2, 1, workers=64) == verify_claims(2, 1)
     assert verify_claims(1, 3, workers=64) == verify_claims(1, 3)
     assert verify_claims(40, 3, workers=3) == verify_claims(40, 3)
-    assert sizes == [2, 3]
+    assert pool_sizes == [2, 3]
+
+
+def test_verify_claims_pool_never_exceeds_cpu_count(monkeypatch, pool_sizes):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert verify_claims(2000, 1, workers=5000) == verify_claims(2000, 1)
+    assert verify_claims(40, 3, workers=8) == verify_claims(40, 3)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # count unknown
+    assert verify_claims(40, 3, workers=8) == verify_claims(40, 3)
+    assert pool_sizes == [3, 3]
+
+
+def test_verify_claims_sweep_shape():
+    report = verify_claims(300, 10)
+    assert [(law.law, law.checked) for law in report.laws] == [
+        ("order-lift-exact", 2564),
+        ("alpha-lift-exact", 2564),
+        ("beta-lift-exact", 2564),
+        ("alpha-routes-agree", 3000),
+        ("beta-routes-agree", 3000),
+        ("alpha-reduction-divides", 5420),
+        ("alpha-coprime-lcm", 6400),
+        ("alpha-prime-power-stable", 900),
+        ("beta-prime-power-stable", 900),
+        ("alpha-beta-ratio-transfer", 2316),
+        ("alpha-equals-beta-above-4", 300),
+        ("alpha-beta-alternative", 1868),
+        ("alpha-divides-phi-quotient", 1868),
+        ("prime-power-order-growth", 648),
+        ("rejected-pair-guard", 76),
+    ]
+    assert report.total_checked == 34388 and report.ok
+
+
+# Planted faults for the failure path of the sweep: each wraps one function
+# the sweep calls through the lifting module and changes its value on a few
+# inputs.  Together they make every law fail somewhere in verify_claims(60, 6).
+def _off_at(name, hit, change):
+    real = getattr(lifting, name)
+
+    def fake(*args):
+        got = real(*args)
+        return change(got) if hit(*args) else got
+
+    return name, fake
+
+
+def _accept_every_pair(n1, n2):
+    return BasePair(n1, n2, TwoAdicCase.LARGE)
+
+
+def _reject_for_wrong_reason(n1, n2):
+    try:
+        return make_base_pair(n1, n2)
+    except InvalidPairError as exc:
+        raise InvalidPairError(str(exc), InvalidPairError.REASON_RADICAL) from None
+
+
+_FAULTS = {
+    "lift_order": (
+        _off_at("lift_order", lambda pair, a: pair.n1 % 7 == 0 and a == 3,
+                lambda v: v + 1),
+        {"order-lift-exact": (8, "n1=7 n2=7 a=3: lifted 7 != direct 6")},
+    ),
+    "alpha": (
+        _off_at("alpha", lambda a, n: n % 9 == 0 and a == 2, lambda v: 2 * v),
+        {
+            "alpha-lift-exact": (4, "n1=9 n2=9 a=2: lifted 4 != direct 2"),
+            "alpha-reduction-divides": (
+                3, "n1=9 n2=3 a=2: alpha(n1)=4 does not divide alpha(n2)=2"),
+            "alpha-coprime-lcm": (
+                1, "m1=5 m2=9 a=2: alpha(45)=8 does not divide lcm(4, 4)"),
+            "alpha-prime-power-stable": (5, "p=3 k=2 a=2: shortcut 2 != alpha 4"),
+            "alpha-beta-ratio-transfer": (6, "n1=3 n2=9 a=2: 2/1 != 4/1"),
+            "alpha-beta-alternative": (2, "n=9 a=2: alpha 4, beta 1"),
+            "alpha-divides-phi-quotient": (
+                2, "n=9 a=2: alpha 4 does not divide 2"),
+        },
+    ),
+    "beta": (
+        _off_at("beta", lambda a, n: n % 8 == 0 and a == 3, lambda v: 2 * v),
+        {
+            "beta-lift-exact": (8, "n1=8 n2=8 a=3: lifted 2 != direct 1"),
+            "beta-prime-power-stable": (4, "p=2 k=3 a=3: shortcut 1 != beta 2"),
+            "alpha-equals-beta-above-4": (5, "n=8 a=3: alpha 1 != beta 2"),
+            "alpha-beta-alternative": (5, "n=8 a=3: alpha 1, beta 2"),
+        },
+    ),
+    "alpha_fast": (
+        _off_at("alpha_fast", lambda a, n: n == 10 and a == 3, lambda v: v + 1),
+        {"alpha-routes-agree": (1, "n=10 a=3: direct 2, fast 3, oracle 2")},
+    ),
+    "beta_fast": (
+        _off_at("beta_fast", lambda a, n: n % 11 == 0, lambda v: v + 1),
+        {"beta-routes-agree": (30, "n=11 a=1: direct 1, fast 2, oracle 1")},
+    ),
+    "_order_phi": (
+        _off_at("_order_phi", lambda r, n: n == 125, lambda v: v + 1),
+        {"prime-power-order-growth": (2, "p=5 k=3 a=2: order 101 != 100")},
+    ),
+    "accept-every-pair": (
+        ("make_base_pair", _accept_every_pair),
+        {"rejected-pair-guard": (15, "(n1, rad) = (4, 2) was not rejected")},
+    ),
+    "wrong-reason": (
+        ("make_base_pair", _reject_for_wrong_reason),
+        {
+            "rejected-pair-guard": (
+                15,
+                "(n1, rad) = (4, 2) rejected for wrong reason "
+                "radical-does-not-divide-n2",
+            )
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_verify_claims_reports_planted_fault(monkeypatch, fault):
+    (name, fake), expected = _FAULTS[fault]
+    monkeypatch.setattr(lifting, name, fake)
+    report = verify_claims(60, 6)
+    assert report.total_checked == 5001
+    failing = {
+        law.law: (law.failed, law.first_counterexample)
+        for law in report.laws
+        if not law.ok
+    }
+    assert failing == expected
+    assert report.total_failed == sum(failed for failed, _ in expected.values())
+    assert not report.ok
+
+
+def test_planted_faults_fail_every_law():
+    failing = {law for _, expected in _FAULTS.values() for law in expected}
+    assert failing == {law.law for law in verify_claims(1, 1).laws}
+
+
+def test_verify_claims_failures_identical_across_workers(monkeypatch, pool_sizes):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    for (name, fake), _ in _FAULTS.values():
+        with monkeypatch.context() as m:
+            m.setattr(lifting, name, fake)
+            serial = verify_claims(60, 6)
+            assert verify_claims(60, 6, workers=2) == serial
+            assert verify_claims(60, 6, workers=7) == serial
+            assert not serial.ok
+    assert pool_sizes == [2, 7] * len(_FAULTS)
