@@ -2,10 +2,11 @@
 beta functions of a**n, exact order lifting to the square-free core of the
 modulus, and Steinhaus triangle tools.
 
-The hot loops (brute-force order scans, triangle accumulation, progression
-search) run through a compiled extension when it is built; otherwise the
-pure-Python kernels take over transparently.  ``ordlift.kernel_backend``
-reports which one is active.
+The brute-force order scans and the triangle accumulation run through a
+compiled extension when it is built; otherwise the pure-Python kernels take
+over transparently.  ``ordlift.kernel_backend`` reports which one is active.
+The progression search always runs in pure Python, since its orbit search
+beats the compiled full scan.
 
 The records (Factorization, OrderRecord, BasePair, LawResult,
 VerificationReport, ZnSequence, TriangleSummary) are named tuples: immutable,

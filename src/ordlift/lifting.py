@@ -13,11 +13,14 @@ This module validates such pairs, applies the transfer formulas and the
 prime-power shortcuts, and sweeps all of these laws in ``verify_claims``
 against the phi-stripping reference and the scan oracles.  The laws are
 registered in one place, the ordered mapping ``_LAWS`` from law name to a
-small generator that yields one outcome per check, so a new law is one more
-entry there.  The order engine
-in ``orders`` applies the same lifting prime by prime, so the *_fast names
-are the engine's functions themselves; no BasePair is built on that path.
-Pairs, per-law results and sweep reports are named tuples.
+generator ``law(m)`` that yields one outcome per check at one modulus, so a
+new law is one more entry there.  ``m`` holds what the laws at that modulus
+share, built once: its units, base pairs, and the engine's alpha and beta.
+A law never reads from ``m`` the value it cross-checks; it calls that
+function itself.  The order engine in ``orders`` applies the same lifting
+prime by prime, so the *_fast names are the engine's functions themselves;
+no BasePair is built on that path.  Pairs, per-law results and sweep
+reports are named tuples.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import math
 import os
 from collections import namedtuple
 from enum import Enum
-from functools import lru_cache
 
 from ordlift.arith import (
     divisors,
@@ -139,30 +141,27 @@ def lift_order(pair: BasePair, a: int) -> int:
     return _order_value(a % pair.n2, pair.n2) * (pair.n1 // rg)
 
 
-def _lift_quotient(pair: BasePair, a: int, value_at_base: int) -> int:
-    """Shared tail of the alpha/beta transfers: divide by gcd(value, rg/n2)."""
+def _lift_value(name: str, value, pair: BasePair, a: int) -> int:
+    """The alpha/beta transfer: value at n2 divided by gcd(value, rg / n2)."""
+    at_base = value(a, pair.n2)
+    if at_base == 0:
+        raise NotCoprimeError(f"{name} undefined: gcd({a}, {pair.n1}) != 1")
     rg = remainder_gcd(a, pair.n2, pair.n1)
     if rg % pair.n2:
         raise ArithmeticError(
             f"remainder gcd {rg} is not a multiple of the base modulus {pair.n2}"
         )
-    return value_at_base // math.gcd(value_at_base, rg // pair.n2)
+    return at_base // math.gcd(at_base, rg // pair.n2)
 
 
 def lift_alpha(pair: BasePair, a: int) -> int:
     """alpha at n1 from alpha at n2, for a coprime to n1."""
-    a2 = alpha(a, pair.n2)
-    if a2 == 0:
-        raise NotCoprimeError(f"lift_alpha undefined: gcd({a}, {pair.n1}) != 1")
-    return _lift_quotient(pair, a, a2)
+    return _lift_value("lift_alpha", alpha, pair, a)
 
 
 def lift_beta(pair: BasePair, a: int) -> int:
     """beta at n1 from beta at n2, for a coprime to n1."""
-    b2 = beta(a, pair.n2)
-    if b2 == 0:
-        raise NotCoprimeError(f"lift_beta undefined: gcd({a}, {pair.n1}) != 1")
-    return _lift_quotient(pair, a, b2)
+    return _lift_value("lift_beta", beta, pair, a)
 
 
 # The engine behind alpha, beta and proj_order already reduces every prime
@@ -178,26 +177,25 @@ def order_fast(a: int, n: int) -> int:
     return _order_value(_reduced_coprime(a, n, "multiplicative order"), n)
 
 
+def _residue_mod_prime(name: str, a: int, p: int, k: int) -> int:
+    """a mod p, after the argument checks the prime-power shortcuts share."""
+    if not is_prime(p):
+        raise ValueError(f"{name} requires a prime p, got {p}")
+    if k < 1:
+        raise ValueError(f"{name} requires k >= 1, got {k}")
+    return a % p
+
+
 def alpha_prime_power(a: int, p: int, k: int) -> int:
     """alpha at p**k, which does not depend on k: the order of a mod p."""
-    if not is_prime(p):
-        raise ValueError(f"alpha_prime_power requires a prime p, got {p}")
-    if k < 1:
-        raise ValueError(f"alpha_prime_power requires k >= 1, got {k}")
-    if a % p == 0:
-        return 0
-    return _order_value(_reduced_coprime(a, p, "multiplicative order"), p)
+    r = _residue_mod_prime("alpha_prime_power", a, p, k)
+    return _order_value(r, p) if r else 0
 
 
 def beta_prime_power(a: int, p: int, k: int) -> int:
     """beta at p**k, which does not depend on k: beta at p."""
-    if not is_prime(p):
-        raise ValueError(f"beta_prime_power requires a prime p, got {p}")
-    if k < 1:
-        raise ValueError(f"beta_prime_power requires k >= 1, got {k}")
-    if a % p == 0:
-        return 0
-    return beta(a, p)
+    r = _residue_mod_prime("beta_prime_power", a, p, k)
+    return beta(a, p) if r else 0
 
 
 # --- verification sweep -----------------------------------------------------
@@ -244,38 +242,34 @@ def _divides(d: int, x: int) -> bool:
 
 def _alpha_phi(a: int, n: int) -> int:
     """alpha from the phi-stripping reference; 0 when gcd(a, n) != 1."""
-    r = a % n
-    if math.gcd(r, n) != 1:
+    if math.gcd(a, n) != 1:
         return 0
-    d = _order_phi(r, n)
+    d = _order_phi(a % n, n)
     return d // math.gcd(d, n)
 
 
 def _beta_phi(a: int, n: int) -> int:
     """beta as the projective order of a**n, from the phi-stripping reference."""
-    r = a % n
-    if math.gcd(r, n) != 1:
+    if math.gcd(a, n) != 1:
         return 0
-    b = pow(r, n, n)
+    b = pow(a, n, n)
     d = _order_phi(b, n)
     if n > 2 and d % 2 == 0 and pow(b, d // 2, n) == n - 1:
         return d // 2
     return d
 
 
-# Several laws at one n1 ask for the same units; n1 is the sweep's outer loop.
-@lru_cache(maxsize=1)
-def _units(n: int, a_max: int) -> tuple[int, ...]:
-    """The bases a in 1..a_max with gcd(a, n) = 1."""
-    return tuple(a for a in range(1, a_max + 1) if math.gcd(a, n) == 1)
+# What the laws at one modulus n share: the units a in 1..a_max coprime to n,
+# the BasePair of each admissible base, and the engine's alpha[a - 1] and
+# beta[a - 1] at every a; row(n2) gives those at any n2, built once a sweep.
+_Modulus = namedtuple("_Modulus", "n n_max a_max units pairs alpha beta row")
 
 
 # Exact transfer from every admissible base modulus.
-def _lift_exact(n1, a_max, lift, direct):
-    units = _units(n1, a_max)
-    for n2 in admissible_bases(n1):
-        pair = make_base_pair(n1, n2)
-        for a in units:
+def _lift_exact(m, lift, direct):
+    for pair in m.pairs:
+        n1, n2 = m.n, pair.n2
+        for a in m.units:
             want = direct(a % n1, n1)
             got = lift(pair, a)
             yield got == want or f"n1={n1} n2={n2} a={a}: lifted {got} != direct {want}"
@@ -283,102 +277,103 @@ def _lift_exact(n1, a_max, lift, direct):
 
 # Three independent routes to alpha and beta must agree, for all a:
 # phi-stripping, the order engine and the exponent scan.
-def _routes_agree(n1, a_max, direct, fast, oracle):
-    for a in range(1, a_max + 1):
-        d, f, o = direct(a, n1), fast(a, n1), oracle(a, n1)
-        yield d == f == o or f"n={n1} a={a}: direct {d}, fast {f}, oracle {o}"
+def _routes_agree(m, direct, fast, oracle):
+    for a in range(1, m.a_max + 1):
+        d, f, o = direct(a, m.n), fast(a, m.n), oracle(a, m.n)
+        yield d == f == o or f"n={m.n} a={a}: direct {d}, fast {f}, oracle {o}"
 
 
-def _alpha_reduction_divides(n1, n_max, a_max):
+def _alpha_reduction_divides(m):
     # alpha at n1 divides alpha at any n2 with rad(n1) | n2 | n1
     # (no 2-adic restriction here: only divisibility is claimed).
-    rad = radical(n1)
-    for n2 in (rad * d for d in divisors(n1 // rad)):
-        for a in range(1, a_max + 1):
-            top, base = alpha(a, n1), alpha(a, n2)
+    rad = radical(m.n)
+    for n2 in (rad * d for d in divisors(m.n // rad)):
+        for a, (top, base) in enumerate(zip(m.alpha, m.row(n2)[0]), 1):
             yield _divides(top, base) or (
-                f"n1={n1} n2={n2} a={a}: alpha(n1)={top} "
+                f"n1={m.n} n2={n2} a={a}: alpha(n1)={top} "
                 f"does not divide alpha(n2)={base}"
             )
 
 
-def _alpha_coprime_lcm(n1, n_max, a_max):
+def _alpha_coprime_lcm(m):
     # Coprime splits n1 = m1 * m2: alpha(n1) divides lcm of the parts.
-    for m1 in divisors(n1):
-        m2 = n1 // m1
+    for m1 in divisors(m.n):
+        m2 = m.n // m1
         if m1 > m2 or math.gcd(m1, m2) != 1:
             continue
-        for a in range(1, a_max + 1):
-            whole, part1, part2 = alpha(a, n1), alpha(a, m1), alpha(a, m2)
+        parts = zip(m.alpha, m.row(m1)[0], m.row(m2)[0])
+        for a, (whole, part1, part2) in enumerate(parts, 1):
             yield _divides(whole, math.lcm(part1, part2)) or (
-                f"m1={m1} m2={m2} a={a}: alpha({n1})={whole} does "
+                f"m1={m1} m2={m2} a={a}: alpha({m.n})={whole} does "
                 f"not divide lcm({part1}, {part2})"
             )
 
 
 # Prime-power stability: alpha at p**k is the order mod p, beta at p**k is
 # beta at p, independent of k.
-def _prime_power_stable(p, a_max, shortcut, value, name):
+def _prime_power_stable(m, shortcut, value, name):
+    p = m.n
     if p > _PRIME_POWER_MAX_P or not is_prime(p):
         return
     for k in range(1, _PRIME_POWER_MAX_K + 1):
-        for a in range(1, a_max + 1):
+        for a in range(1, m.a_max + 1):
             short, full = shortcut(a, p, k), value(a, p**k)
             yield short == full or (
                 f"p={p} k={k} a={a}: shortcut {short} != {name} {full}"
             )
 
 
-def _alpha_beta_ratio_transfer(n1, n_max, a_max):
+def _alpha_beta_ratio_transfer(m):
     # alpha/beta ratio transfers between same-radical moduli when both have
     # v2 <= 1.  (The transfer genuinely needs v2(n2) <= 1 too:
     # alpha_10(3)/beta_10(3) = 2 while alpha_20(3)/beta_20(3) = 1.)
-    if n1 % 4 == 0:
+    if m.n % 4 == 0:
         return
-    rad = radical(n1)
-    units = _units(n1, a_max)
-    for n2 in range(rad, n_max + 1, rad):
+    rad = radical(m.n)
+    for n2 in range(rad, m.n_max + 1, rad):
         if radical(n2) != rad or n2 % 4 == 0:
             continue
-        for a in units:
-            a1, b1, a2, b2 = alpha(a, n1), beta(a, n1), alpha(a, n2), beta(a, n2)
+        alpha2, beta2 = m.row(n2)
+        for a in m.units:
+            a1, b1 = m.alpha[a - 1], m.beta[a - 1]
+            a2, b2 = alpha2[a - 1], beta2[a - 1]
             yield a1 * b2 == a2 * b1 or (
-                f"n1={n1} n2={n2} a={a}: {a1}/{b1} != {a2}/{b2}"
+                f"n1={m.n} n2={n2} a={a}: {a1}/{b1} != {a2}/{b2}"
             )
 
 
-def _alpha_equals_beta_above_4(n1, n_max, a_max):
+def _alpha_equals_beta_above_4(m):
     # With v2 >= 2 the ratio collapses to 1.
-    if n1 % 4:
+    if m.n % 4:
         return
-    for a in _units(n1, a_max):
-        da, db = alpha(a, n1), beta(a, n1)
-        yield da == db or f"n={n1} a={a}: alpha {da} != beta {db}"
+    for a in m.units:
+        da, db = m.alpha[a - 1], m.beta[a - 1]
+        yield da == db or f"n={m.n} a={a}: alpha {da} != beta {db}"
 
 
-def _alpha_beta_alternative(n1, n_max, a_max):
-    for a in _units(n1, a_max):
-        da, db = alpha(a, n1), beta(a, n1)
-        yield da in (db, 2 * db) or f"n={n1} a={a}: alpha {da}, beta {db}"
+def _alpha_beta_alternative(m):
+    for a in m.units:
+        da, db = m.alpha[a - 1], m.beta[a - 1]
+        yield da in (db, 2 * db) or f"n={m.n} a={a}: alpha {da}, beta {db}"
 
 
-def _alpha_divides_phi_quotient(n1, n_max, a_max):
-    phi = euler_phi(n1)
-    phi_quot = phi // math.gcd(phi, n1)
-    for a in _units(n1, a_max):
-        da = alpha(a, n1)
+def _alpha_divides_phi_quotient(m):
+    phi = euler_phi(m.n)
+    phi_quot = phi // math.gcd(phi, m.n)
+    for a in m.units:
+        da = m.alpha[a - 1]
         yield phi_quot % da == 0 or (
-            f"n={n1} a={a}: alpha {da} does not divide {phi_quot}"
+            f"n={m.n} a={a}: alpha {da} does not divide {phi_quot}"
         )
 
 
-def _prime_power_order_growth(n1, n_max, a_max):
+def _prime_power_order_growth(m):
     # Order growth up prime powers: constant d until the valuation of
     # a**d - 1 runs out, then one factor of p per step.
-    p = n1
+    p = m.n
     if p > _PRIME_POWER_MAX_P or p == 2 or not is_prime(p):
         return
-    for a in range(1, a_max + 1):
+    for a in range(1, m.a_max + 1):
         r = a % p
         if r == 0 or r == 1 or r == p - 1:
             continue
@@ -390,20 +385,20 @@ def _prime_power_order_growth(n1, n_max, a_max):
             yield got == expect or f"p={p} k={k} a={a}: order {got} != {expect}"
 
 
-def _rejected_pair_guard(n1, n_max, a_max):
+def _rejected_pair_guard(m):
     # Pairs that miss the factor 2*rad must be rejected, never computed.
-    if n1 % 4 == 0:
-        rad = radical(n1)
+    if m.n % 4 == 0:
+        rad = radical(m.n)
         try:
-            make_base_pair(n1, rad)
+            make_base_pair(m.n, rad)
         except InvalidPairError as exc:
             outcome = exc.reason == InvalidPairError.REASON_TWO_ADIC or (
-                f"(n1, rad) = ({n1}, {rad}) rejected for wrong reason {exc.reason}"
+                f"(n1, rad) = ({m.n}, {rad}) rejected for wrong reason {exc.reason}"
             )
         else:
-            outcome = f"(n1, rad) = ({n1}, {rad}) was not rejected"
+            outcome = f"(n1, rad) = ({m.n}, {rad}) was not rejected"
         yield outcome
-    if n1 == 24:
+    if m.n == 24:
         # The raw transfer formula applied to the rejected pair (24, 6)
         # with a = 7 must give 4 while the true order is 2.
         raw = _order_phi(7 % 6, 6) * (24 // remainder_gcd(7, 6, 24))
@@ -413,33 +408,27 @@ def _rejected_pair_guard(n1, n_max, a_max):
         )
 
 
-# The law registry, in sweep order: law name -> generator law(n1, n_max, a_max)
-# that yields one item per check at the modulus n1, True for a pass or the
-# counterexample as text.  Laws look up the functions they check in this
-# module's globals when they run, so a patched function is the one checked.
+# The law registry, in sweep order: law name -> generator law(m) that yields
+# one item per check at the _Modulus m, True for a pass or the counterexample
+# as text.  A law calls the function it cross-checks itself, looked up in
+# this module's globals when it runs, so a patched function is the one checked.
 _LAWS = {
-    "order-lift-exact": lambda n1, n_max, a_max: _lift_exact(
-        n1, a_max, lift_order, _order_phi
+    "order-lift-exact": lambda m: _lift_exact(m, lift_order, _order_phi),
+    "alpha-lift-exact": lambda m: _lift_exact(m, lift_alpha, _alpha_phi),
+    "beta-lift-exact": lambda m: _lift_exact(m, lift_beta, _beta_phi),
+    "alpha-routes-agree": lambda m: _routes_agree(
+        m, _alpha_phi, alpha_fast, alpha_oracle
     ),
-    "alpha-lift-exact": lambda n1, n_max, a_max: _lift_exact(
-        n1, a_max, lift_alpha, _alpha_phi
-    ),
-    "beta-lift-exact": lambda n1, n_max, a_max: _lift_exact(
-        n1, a_max, lift_beta, _beta_phi
-    ),
-    "alpha-routes-agree": lambda n1, n_max, a_max: _routes_agree(
-        n1, a_max, _alpha_phi, alpha_fast, alpha_oracle
-    ),
-    "beta-routes-agree": lambda n1, n_max, a_max: _routes_agree(
-        n1, a_max, _beta_phi, beta_fast, beta_oracle
+    "beta-routes-agree": lambda m: _routes_agree(
+        m, _beta_phi, beta_fast, beta_oracle
     ),
     "alpha-reduction-divides": _alpha_reduction_divides,
     "alpha-coprime-lcm": _alpha_coprime_lcm,
-    "alpha-prime-power-stable": lambda n1, n_max, a_max: _prime_power_stable(
-        n1, a_max, alpha_prime_power, alpha, "alpha"
+    "alpha-prime-power-stable": lambda m: _prime_power_stable(
+        m, alpha_prime_power, alpha, "alpha"
     ),
-    "beta-prime-power-stable": lambda n1, n_max, a_max: _prime_power_stable(
-        n1, a_max, beta_prime_power, beta, "beta"
+    "beta-prime-power-stable": lambda m: _prime_power_stable(
+        m, beta_prime_power, beta, "beta"
     ),
     "alpha-beta-ratio-transfer": _alpha_beta_ratio_transfer,
     "alpha-equals-beta-above-4": _alpha_equals_beta_above_4,
@@ -453,14 +442,26 @@ _LAWS = {
 def _sweep(bounds: tuple[int, int, int, int]) -> list[LawResult]:
     """Run every law for n1 in [lo, hi]; one LawResult per law, in sweep order.
 
-    n1 is the outer loop, so each modulus's cached factorization and orders
-    are still warm when the next law asks for them.
+    Each n1 gets one _Modulus, handed to every law as law(m).  It is built
+    from this module's alpha, beta, admissible_bases and make_base_pair as
+    they are when the sweep runs, so a patched function lands in it too.
     """
     lo, hi, n_max, a_max = bounds
+    bases = range(1, a_max + 1)
+    rows = {}
+
+    def row(n):
+        if n not in rows:
+            rows[n] = [alpha(a, n) for a in bases], [beta(a, n) for a in bases]
+        return rows[n]
+
     tallies = [[0, 0, None] for _ in _LAWS]
     for n1 in range(lo, hi + 1):
+        units = tuple(a for a in bases if math.gcd(a, n1) == 1)
+        pairs = tuple(make_base_pair(n1, n2) for n2 in admissible_bases(n1))
+        m = _Modulus(n1, n_max, a_max, units, pairs, *row(n1), row)
         for tally, law in zip(tallies, _LAWS.values()):
-            for outcome in law(n1, n_max, a_max):
+            for outcome in law(m):
                 tally[0] += 1
                 if outcome is not True:
                     tally[1] += 1
@@ -472,12 +473,10 @@ def _sweep(bounds: tuple[int, int, int, int]) -> list[LawResult]:
 def verify_claims(n_max: int, a_max: int, workers: int = 1) -> VerificationReport:
     """Sweep every registered law over n <= n_max, a <= a_max and report
     per-law pass/fail counts with the first counterexample of each failing
-    law.
+    law, in the order of the module's law registry.
 
-    The laws are registered in one place, the module's law registry, and run
-    in its order; each yields one outcome per check.  A correct
-    implementation reports zero failures; any failure indicates a bug, not a
-    broken law.  Prime-power laws additionally cap p at 50 and k at 6 to keep
+    A correct implementation reports zero failures; any failure indicates a
+    bug, not a broken law.  Prime-power laws additionally cap p at 50 and k at 6 to keep
     p**k at desk scale.  With workers > 1 the n-range is split into chunks
     across min(workers, n_max, os.cpu_count()) processes; the report
     (including which counterexample is "first") is identical regardless of

@@ -238,10 +238,12 @@ def test_prime_power_shortcuts_stable_in_k():
 
 
 def test_prime_power_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        alpha_prime_power(2, 4, 1)
-    with pytest.raises(ValueError):
-        beta_prime_power(2, 3, 0)
+    for shortcut in (alpha_prime_power, beta_prime_power):
+        name = shortcut.__name__
+        with pytest.raises(ValueError, match=f"{name} requires a prime p, got 4"):
+            shortcut(2, 4, 1)
+        with pytest.raises(ValueError, match=f"{name} requires k >= 1, got 0"):
+            shortcut(2, 3, 0)
 
 
 def test_admissible_bases():
@@ -354,6 +356,25 @@ def test_verify_claims_sweep_shape():
         ("rejected-pair-guard", 76),
     ]
     assert report.total_checked == 34388 and report.ok
+
+
+def test_verify_claims_builds_each_modulus_once(monkeypatch):
+    # One admissible_bases call per n1, and one make_base_pair call per
+    # admissible base plus the rejected-pair guard's probe at each n with 4 | n.
+    n_max = 300
+    expected_pairs = sum(len(admissible_bases(n)) for n in range(1, n_max + 1))
+    expected_pairs += n_max // 4
+    calls = {"admissible_bases": 0, "make_base_pair": 0}
+    for name in calls:
+        real = getattr(lifting, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(lifting, name, counted)
+    assert verify_claims(n_max, 10).ok
+    assert calls == {"admissible_bases": n_max, "make_base_pair": expected_pairs}
 
 
 # Planted faults for the failure path of the sweep: each wraps one function
