@@ -1,6 +1,7 @@
 """Pure-Python kernels for the hot loops.
 
-The compiled twin in ``_kernels.pyx`` implements the same contracts.
+The compiled twin in ``_kernels.pyx`` implements the same four functions;
+its search is the literal scan of all n**2 progressions, for any n.
 ``_backend`` picks the compiled scans and triangle counts when they are
 built, and always this module's search.  The scans are literal loops and
 double as the reference the compiled scans are tested against.  The others
@@ -15,12 +16,14 @@ are not literal.
 - ``triangle_counts`` takes the row classes when its input is a progression
   mod odd n and that bound is below the entry count.  Otherwise it steps
   whole rows packed into one int and counts them in byte chunks.
-- ``search_balanced_ap`` tests one progression per symmetry orbit, and for
-  odd n counts it with row-class tables built once per call.
+- ``search_balanced_ap`` takes odd n only.  It tests one progression per
+  symmetry orbit, with a unit step, and counts it with row-class tables
+  built once per call.
 
-The literal row-by-row loop in the tests, the literal scan of all n**2
-progressions built on it, and the compiled kernels are the references they
-are checked against.
+The tests check ``triangle_counts`` and ``search_balanced_ap``, and their
+compiled twins, against the literal row-by-row loop and the literal scan of
+all n**2 progressions built on it, in ``tests/oracles.py``, which shares no
+code with ordlift.
 """
 
 from __future__ import annotations
@@ -204,82 +207,69 @@ def _add_progression(counts: list[int], c: int, d: int, m: int, n: int, k: int) 
         u = 2 * u % n
 
 
-def _unit_orbit_min(x: int, k: int, n: int) -> int:
-    """Smallest residue u*x mod n over the units u = 1 (mod k), k | n.
-
-    With h = gcd(x, n) and x = h*x1, the orbit is h times the units y1 mod
-    n/h with y1 = x1 (mod gcd(k, n/h)); the first such y1 is a short step
-    search from x1 mod gcd(k, n/h).
-    """
-    h = gcd(x, n)
-    n1 = n // h
-    step = gcd(k, n1)
-    y = (x // h) % step
-    while gcd(y, n1) != 1:
-        y += step
-    return h * y
+def _least_unit(x: int, k: int, n: int) -> int:
+    """Smallest unit mod n that is = x (mod k), k | n: a short step search
+    from x mod k."""
+    y = x % k
+    while gcd(y, n) != 1:
+        y += k
+    return y
 
 
 def _orbit_least(c: int, d: int, m: int, n: int) -> bool:
     """True iff the progression (c, d) of length m is the lexicographically
     smallest pair of its orbit under unit scaling, (c, d) -> (uc, ud), and
     reversal, (c, d) -> (c + (m-1)d, -d).  Both maps preserve balance.
+
+    The search asks only about c = 0 or a proper divisor of n, where the
+    unit orbit of c starts, and d a unit mod n; other pairs are outside
+    this contract.
     """
     h = gcd(c, n)
-    if h % n != c:  # the unit orbit of c starts at gcd(c, n), or at 0
-        return False
     k = n // h  # the units fixing c are those = 1 (mod k)
-    if _unit_orbit_min(d, k, n) != d:
+    if _least_unit(d, k, n) != d:
         return False
     c2 = (c + (m - 1) * d) % n
     h2 = gcd(c2, n) % n
     if h2 != c:
         return h2 > c
     # The reversed pairs that start with c are u*(c2, -d) for the units u
-    # with u*c2 = c: one such unit times the units fixing c.
+    # with u*c2 = c: one such u times the units fixing c.  Only u mod k
+    # matters, so u need not be lifted to a unit mod n.
     u = pow(c2 // h, -1, k)
-    while gcd(u, n) != 1:
-        u += k
-    return _unit_orbit_min(u * -d % n, k, n) >= d
+    return _least_unit(u * -d, k, n) >= d
 
 
 def search_balanced_ap(n: int, m: int):
     """First (start, step) in [0,n)^2, scanned lexicographically, whose
-    length-m arithmetic progression has a balanced triangle; None if none.
+    length-m arithmetic progression has a balanced triangle mod n; None if
+    none.  n must be odd: ``steinhaus.search_balanced_ap`` rejects even n.
 
     Balance is the same for every pair of a symmetry orbit, so only the
     smallest pair of each orbit is counted: the first balanced one is the
     first balanced pair of the whole scan.
 
-    For odd n, a step d that shares a factor g > 1 with n is skipped: mod g
-    every entry (i, j) is 2^i c, so the entries miss the residues = 0 mod g
-    when c is not = 0 mod g, and all others when it is.  So N = n for every
+    A step d that shares a factor g > 1 with n is skipped: mod g every
+    entry (i, j) is 2^i c, so the entries miss the residues = 0 mod g when
+    c is not = 0 mod g, and all others when it is.  So N = n for every
     candidate, and the k row-class tables over Z/n are built once per call
-    and shared by all of them.  For even n, which only
-    the tests ask for, each candidate's expanded progression goes through
-    ``triangle_counts``.
+    and shared by all of them.
     """
     total = m * (m + 1) // 2
     if total % n:
         return None
     target = total // n
-    if n % 2:
-        k = _doubling_period(n, m)
-        classes = [(pow(2, a, n), _row_class(a, k, m, n)) for a in range(k)]
+    k = _doubling_period(n, m)
+    classes = [(pow(2, a, n), _row_class(a, k, m, n)) for a in range(k)]
     for c in range(n):
         if gcd(c, n) % n != c:  # no pair of this row is least in its orbit
             continue
         for d in range(n):
-            if n % 2 and gcd(d, n) != 1:  # never balanced, see above
+            if gcd(d, n) != 1 or not _orbit_least(c, d, m, n):
                 continue
-            if not _orbit_least(c, d, m, n):
-                continue
-            if n % 2:
-                counts = [0] * n
-                for u, table in classes:
-                    _add_row_class(counts, table, u, c, d, n)
-            else:
-                counts = triangle_counts([c + j * d for j in range(m)], n)
+            counts = [0] * n
+            for u, table in classes:
+                _add_row_class(counts, table, u, c, d, n)
             if all(v == target for v in counts):
                 return (c, d)
     return None

@@ -165,6 +165,9 @@ def _split(n: int, exps: dict[int, int], mult: int = 1) -> None:
 
 @lru_cache(maxsize=1 << 16)
 def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The cached (prime, exponent) pairs of n >= 1, without a record."""
+    if n < 1:
+        raise ValueError(f"factorize requires n >= 1, got {n}")
     exps: dict[int, int] = {}
     for p in (2, 3):
         e = 0
@@ -192,16 +195,9 @@ def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(exps.items()))
 
 
-def _factors(n: int) -> tuple[tuple[int, int], ...]:
-    """The cached (prime, exponent) pairs of n >= 1, without a record."""
-    if n < 1:
-        raise ValueError(f"factorize requires n >= 1, got {n}")
-    return _factor_pairs(n)
-
-
 def factorize(n: int) -> Factorization:
     """Unique prime factorization of n >= 1."""
-    return Factorization(n, _factors(n))
+    return Factorization(n, _factor_pairs(n))
 
 
 def valuation(n: int, p: int) -> int:
@@ -220,7 +216,7 @@ def valuation(n: int, p: int) -> int:
 def radical(n: int) -> int:
     """Largest square-free divisor: the product of the distinct primes of n."""
     result = 1
-    for p, _ in _factors(n):
+    for p, _ in _factor_pairs(n):
         result *= p
     return result
 
@@ -244,7 +240,7 @@ def mod_pow(a: int, e: int, n: int) -> int:
 def euler_phi(n: int) -> int:
     """Euler's totient, computed from the factorization."""
     result = 1
-    for p, e in _factors(n):
+    for p, e in _factor_pairs(n):
         result *= (p - 1) * p ** (e - 1)
     return result
 
@@ -252,6 +248,6 @@ def euler_phi(n: int) -> int:
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
     divs = [1]
-    for p, e in _factors(n):
+    for p, e in _factor_pairs(n):
         divs = [d * p**i for d in divs for i in range(e + 1)]
     return sorted(divs)

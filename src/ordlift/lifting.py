@@ -29,6 +29,7 @@ import math
 import os
 from collections import namedtuple
 from enum import Enum
+from types import SimpleNamespace
 
 from ordlift.arith import (
     divisors,
@@ -259,12 +260,6 @@ def _beta_phi(a: int, n: int) -> int:
     return d
 
 
-# What the laws at one modulus n share: the units a in 1..a_max coprime to n,
-# the BasePair of each admissible base, and the engine's alpha[a - 1] and
-# beta[a - 1] at every a; row(n2) gives those at any n2, built once a sweep.
-_Modulus = namedtuple("_Modulus", "n n_max a_max units pairs alpha beta row")
-
-
 # Exact transfer from every admissible base modulus.
 def _lift_exact(m, lift, direct):
     for pair in m.pairs:
@@ -409,9 +404,10 @@ def _rejected_pair_guard(m):
 
 
 # The law registry, in sweep order: law name -> generator law(m) that yields
-# one item per check at the _Modulus m, True for a pass or the counterexample
-# as text.  A law calls the function it cross-checks itself, looked up in
-# this module's globals when it runs, so a patched function is the one checked.
+# one item per check at the modulus record m of _sweep, True for a pass or
+# the counterexample as text.  A law calls the function it cross-checks
+# itself, looked up in this module's globals when it runs, so a patched
+# function is the one checked.
 _LAWS = {
     "order-lift-exact": lambda m: _lift_exact(m, lift_order, _order_phi),
     "alpha-lift-exact": lambda m: _lift_exact(m, lift_alpha, _alpha_phi),
@@ -442,9 +438,14 @@ _LAWS = {
 def _sweep(bounds: tuple[int, int, int, int]) -> list[LawResult]:
     """Run every law for n1 in [lo, hi]; one LawResult per law, in sweep order.
 
-    Each n1 gets one _Modulus, handed to every law as law(m).  It is built
-    from this module's alpha, beta, admissible_bases and make_base_pair as
-    they are when the sweep runs, so a patched function lands in it too.
+    Each n1 gets one record m of what its laws share, handed to every law
+    as law(m): m.n = n1, the bounds m.n_max and m.a_max, m.units (the a in
+    1..a_max coprime to n1), m.pairs (the BasePair of each admissible
+    base), and m.alpha[a - 1] and m.beta[a - 1], the engine's values at
+    every a; m.row(n2) gives those two lists at any n2, built once a sweep.
+    The record is built from this module's alpha, beta, admissible_bases
+    and make_base_pair as they are when the sweep runs, so a patched
+    function lands in it too.
     """
     lo, hi, n_max, a_max = bounds
     bases = range(1, a_max + 1)
@@ -459,7 +460,11 @@ def _sweep(bounds: tuple[int, int, int, int]) -> list[LawResult]:
     for n1 in range(lo, hi + 1):
         units = tuple(a for a in bases if math.gcd(a, n1) == 1)
         pairs = tuple(make_base_pair(n1, n2) for n2 in admissible_bases(n1))
-        m = _Modulus(n1, n_max, a_max, units, pairs, *row(n1), row)
+        alphas, betas = row(n1)
+        m = SimpleNamespace(
+            n=n1, n_max=n_max, a_max=a_max, units=units, pairs=pairs,
+            alpha=alphas, beta=betas, row=row,
+        )
         for tally, law in zip(tallies, _LAWS.values()):
             for outcome in law(m):
                 tally[0] += 1

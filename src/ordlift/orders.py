@@ -34,7 +34,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from ordlift import _backend
-from ordlift.arith import _factors
+from ordlift.arith import _factor_pairs
 from ordlift.errors import InvalidPairError, NotCoprimeError
 
 __all__ = [
@@ -65,7 +65,7 @@ def _composite(p: int, n: int) -> ArithmeticError:
 def _order_value(r: int, n: int) -> int:
     """Order of the reduced residue r mod n; caller guarantees gcd(r, n) = 1."""
     order = 1
-    for p, k in _factors(n):
+    for p, k in _factor_pairs(n):
         if p == 2:
             if k == 1:
                 continue
@@ -75,7 +75,7 @@ def _order_value(r: int, n: int) -> int:
             rp = r % p
             if pow(rp, d, p) != 1:
                 raise _composite(p, n)
-            for q, _ in _factors(d):
+            for q, _ in _factor_pairs(d):
                 while d % q == 0 and pow(rp, d // q, p) == 1:
                     d //= q
         pk = p**k
@@ -97,14 +97,14 @@ def _order_phi(r: int, n: int) -> int:
     """
     if n == 1:
         return 1
-    fn = _factors(n)
+    fn = _factor_pairs(n)
     e = 1
     exps: dict[int, int] = {}
     for p, k in fn:
         e *= (p - 1) * p ** (k - 1)
         if k > 1:
             exps[p] = exps.get(p, 0) + k - 1
-        for q, j in _factors(p - 1):
+        for q, j in _factor_pairs(p - 1):
             exps[q] = exps.get(q, 0) + j
     if pow(r, e, n) != 1:
         raise _composite(next(p for p, k in fn if pow(r, e, p**k) != 1), n)

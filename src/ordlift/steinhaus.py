@@ -130,9 +130,12 @@ def search_balanced_ap(n: int, m: int):
     is still the lexicographically first witness of the full scan.  Each
     candidate's triangle is counted in closed form by row classes, from k
     tables of n counts, k = min(ord_n(2), m), built once per call.  This
-    search runs in pure Python even when the compiled kernels are built,
-    since their full scan of all n**2 pairs is the slower route past n of
-    about 15.
+    search runs in pure Python even when the compiled kernels are built.
+    Their full scan of all n**2 pairs was the faster one on the traced
+    benchmark run's six searches at m = 2n, n = 13..25: 96 us against
+    122 us per search (``BENCH_8.json``).  At the paper's lengths for n = 29
+    and odd n from 37 to 61 it took 639 ms for all 44 searches against
+    19 ms.
 
     Odd n only: that is where balanced progressions are known to exist for
     lengths in the right congruence classes, and the scan is not meaningful

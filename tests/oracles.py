@@ -5,6 +5,8 @@ all n**2 progressions in order.  None of this shares code with ordlift's
 kernels, so the tests that compare against it check them independently.
 """
 
+from functools import cache
+
 
 def literal_triangle_counts(elements, n):
     """Residue multiplicities of the triangle, every row built from the one
@@ -26,6 +28,7 @@ def literal_balanced(elements, n):
     return min(counts) == max(counts)
 
 
+@cache  # two tests scan the odd n <= 15, m < 40 grid
 def literal_search(n, m):
     """First (c, d) in [0, n)^2, in lexicographic order, whose length-m
     progression c, c+d, ... is balanced mod n; None if there is none."""

@@ -1,4 +1,5 @@
-"""The compiled kernels must agree with the pure-Python reference kernels.
+"""The compiled kernels must agree with the pure-Python scans and with the
+literal triangle counts and search of ``oracles``.
 
 When ``ordlift._kernels`` is not importable, the tests build it from the
 shipped ``_kernels.c`` through ``setup.py build_ext`` into a temporary
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordlift import _backend, _pykernels
-from oracles import literal_triangle_counts
+from oracles import literal_search, literal_triangle_counts
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ordlift"
@@ -199,12 +200,11 @@ def test_triangle_counts_memory_stays_linear():
 
 
 def test_search_agrees(compiled):
-    # the compiled search is a literal full scan; the pure one scans orbits
+    # The compiled search is a literal full scan of all n**2 progressions,
+    # so it answers even n too.
     for n in range(1, 16):
         for m in range(1, 40):
-            assert compiled.search_balanced_ap(n, m) == _pykernels.search_balanced_ap(
-                n, m
-            ), (n, m)
+            assert compiled.search_balanced_ap(n, m) == literal_search(n, m), (n, m)
 
 
 def test_closed_form_counts_match_row_by_row():
@@ -236,11 +236,14 @@ def test_closed_form_counts_match_row_by_row():
 
 
 def test_orbit_least_matches_enumerated_orbit():
-    for n in range(1, 22):
-        units = [u for u in range(n) if math.gcd(u, n) == 1] or [0]
+    # Every pair the search asks about: odd n, c = 0 or a proper divisor of
+    # n, and d a unit.
+    for n in range(1, 22, 2):
+        units = [u for u in range(n) if math.gcd(u, n) == 1]
+        starts = [c for c in range(n) if math.gcd(c, n) % n == c]
         for m in range(1, 2 * n + 2, 3):
-            for c in range(n):
-                for d in range(n):
+            for c in starts:
+                for d in units:
                     c2, d2 = (c + (m - 1) * d) % n, -d % n
                     orbit = [(u * c % n, u * d % n) for u in units]
                     orbit += [(u * c2 % n, u * d2 % n) for u in units]
