@@ -14,108 +14,15 @@ built by position or keyword, unpackable, and equal to a plain tuple of the
 same fields.  Functions that return one number build no record on the way.
 """
 
+from ordlift import arith, errors, lifting, orders, steinhaus
 from ordlift._backend import BACKEND as kernel_backend
-from ordlift.arith import (
-    Factorization,
-    divisors,
-    euler_phi,
-    factorize,
-    gcd_conv,
-    is_prime,
-    mod_pow,
-    radical,
-    valuation,
-)
-from ordlift.errors import (
-    FactorizationBudgetError,
-    InvalidPairError,
-    NotCoprimeError,
-)
-from ordlift.lifting import (
-    BasePair,
-    LawResult,
-    TwoAdicCase,
-    VerificationReport,
-    admissible_bases,
-    alpha_fast,
-    alpha_prime_power,
-    beta_fast,
-    beta_prime_power,
-    canonical_base,
-    lift_alpha,
-    lift_beta,
-    lift_order,
-    make_base_pair,
-    order_fast,
-    proj_order_fast,
-    verify_claims,
-)
-from ordlift.orders import (
-    OrderRecord,
-    alpha,
-    alpha_oracle,
-    beta,
-    beta_oracle,
-    mult_order,
-    proj_order,
-    remainder_gcd,
-)
-from ordlift.steinhaus import (
-    TriangleSummary,
-    ZnSequence,
-    ap_sequence,
-    is_balanced,
-    length_admissible,
-    search_balanced_ap,
-    triangle,
-)
+from ordlift.arith import *
+from ordlift.errors import *
+from ordlift.lifting import *
+from ordlift.orders import *
+from ordlift.steinhaus import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasePair",
-    "Factorization",
-    "FactorizationBudgetError",
-    "InvalidPairError",
-    "LawResult",
-    "NotCoprimeError",
-    "OrderRecord",
-    "TriangleSummary",
-    "TwoAdicCase",
-    "VerificationReport",
-    "ZnSequence",
-    "admissible_bases",
-    "alpha",
-    "alpha_fast",
-    "alpha_oracle",
-    "alpha_prime_power",
-    "ap_sequence",
-    "beta",
-    "beta_fast",
-    "beta_oracle",
-    "beta_prime_power",
-    "canonical_base",
-    "divisors",
-    "euler_phi",
-    "factorize",
-    "gcd_conv",
-    "is_balanced",
-    "is_prime",
-    "kernel_backend",
-    "length_admissible",
-    "lift_alpha",
-    "lift_beta",
-    "lift_order",
-    "make_base_pair",
-    "mod_pow",
-    "mult_order",
-    "order_fast",
-    "proj_order",
-    "proj_order_fast",
-    "radical",
-    "remainder_gcd",
-    "search_balanced_ap",
-    "triangle",
-    "valuation",
-    "verify_claims",
-]
+__all__ = ["kernel_backend", *arith.__all__, *errors.__all__, *lifting.__all__,
+           *orders.__all__, *steinhaus.__all__]

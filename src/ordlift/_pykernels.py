@@ -259,6 +259,7 @@ def search_balanced_ap(n: int, m: int):
     if total % n:
         return None
     target = total // n
+    counts = [0] * n  # first, so a modulus too large to count fails at once
     k = _doubling_period(n, m)
     classes = [(pow(2, a, n), _row_class(a, k, m, n)) for a in range(k)]
     for c in range(n):
@@ -267,9 +268,9 @@ def search_balanced_ap(n: int, m: int):
         for d in range(n):
             if gcd(d, n) != 1 or not _orbit_least(c, d, m, n):
                 continue
-            counts = [0] * n
             for u, table in classes:
                 _add_row_class(counts, table, u, c, d, n)
             if all(v == target for v in counts):
                 return (c, d)
+            counts = [0] * n
     return None

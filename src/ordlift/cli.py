@@ -5,9 +5,9 @@ CSV or JSON, ``verify`` for the law sweep, and ``steinhaus`` for triangle
 inspection and balanced-progression search.
 
 Exit codes: 0 on success, 1 on domain errors (non-coprime arguments, even
-modulus for the search, a triangle modulus too large to keep one count per
-residue in memory, law violations) and arithmetic failures (a modulus
-Pollard rho cannot split within its budget, a factor that passed the
+modulus for the search, a triangle or search modulus too large to keep one
+count per residue in memory, law violations) and arithmetic failures (a
+modulus Pollard rho cannot split within its budget, a factor that passed the
 primality test but is composite), 2 on usage errors.
 """
 
@@ -146,13 +146,7 @@ def _cmd_verify(args) -> int:
 def _cmd_steinhaus(args) -> int:
     if args.subcommand == "triangle":
         seq = ZnSequence.from_integers(args.modulus, args.sequence)
-        try:
-            summary = triangle(seq)
-        except (MemoryError, OverflowError):  # no list of n counts fits
-            raise ValueError(
-                f"modulus {args.modulus} is too large: the triangle keeps one "
-                "count per residue"
-            ) from None
+        summary = triangle(seq)
         counts = " ".join(f"{r}:{c}" for r, c in enumerate(summary.counts))
         verdict = "true" if summary.balanced else "false"
         print(f"balanced: {verdict}; counts: {counts}")

@@ -1,5 +1,7 @@
 """Exceptions shared across the library."""
 
+__all__ = ["FactorizationBudgetError", "InvalidPairError", "NotCoprimeError"]
+
 
 class NotCoprimeError(ValueError):
     """An operation required gcd(a, n) = 1 and the inputs violate it."""

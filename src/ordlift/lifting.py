@@ -136,8 +136,6 @@ def lift_order(pair: BasePair, a: int) -> int:
     order(a, n1) = order(a, n2) * n1 / gcd(n1, a**order(a, n2) - 1).
     """
     rg = remainder_gcd(a, pair.n2, pair.n1)
-    if pair.n1 % rg:
-        raise ArithmeticError(f"remainder gcd {rg} does not divide {pair.n1}")
     # remainder_gcd has checked n2 | n1 and gcd(a, n1) = 1, so a is a unit mod n2.
     return _order_value(a % pair.n2, pair.n2) * (pair.n1 // rg)
 
@@ -148,10 +146,6 @@ def _lift_value(name: str, value, pair: BasePair, a: int) -> int:
     if at_base == 0:
         raise NotCoprimeError(f"{name} undefined: gcd({a}, {pair.n1}) != 1")
     rg = remainder_gcd(a, pair.n2, pair.n1)
-    if rg % pair.n2:
-        raise ArithmeticError(
-            f"remainder gcd {rg} is not a multiple of the base modulus {pair.n2}"
-        )
     return at_base // math.gcd(at_base, rg // pair.n2)
 
 

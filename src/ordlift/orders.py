@@ -136,8 +136,10 @@ def mult_order(a: int, n: int) -> OrderRecord:
 def remainder_gcd(a: int, n2: int, n1: int) -> int:
     """gcd(n1, a**order(a mod n2) - 1), computed without the big power.
 
-    Requires n2 | n1 and gcd(a, n1) = 1.  The result is always a multiple of
-    n2 and a divisor of n1; it is the divisor the lifting formulas consume.
+    Requires n2 | n1 and gcd(a, n1) = 1.  The result is a divisor of n1 and
+    a multiple of n2; it is the divisor the lifting formulas consume.  Raises
+    ArithmeticError when it is not a multiple of n2, which happens only when
+    the order mod n2 is wrong.
     """
     if n2 < 1:
         raise ValueError(f"remainder_gcd requires n2 >= 1, got {n2}")
@@ -150,8 +152,12 @@ def remainder_gcd(a: int, n2: int, n1: int) -> int:
         )
     r = _reduced_coprime(a, n1, "remainder_gcd")
     o2 = _order_value(a % n2, n2)
-    t = pow(r, o2, n1)
-    return math.gcd(t - 1, n1)
+    rg = math.gcd(pow(r, o2, n1) - 1, n1)
+    if rg % n2:
+        raise ArithmeticError(
+            f"remainder gcd {rg} is not a multiple of the base modulus {n2}"
+        )
+    return rg
 
 
 def proj_order(a: int, n: int) -> int:

@@ -85,10 +85,22 @@ class TriangleSummary(
         return self.length * (self.length + 1) // 2
 
 
+def _count(n: int, kernel, *args):
+    """kernel(*args), with a modulus n too large for one list of n counts
+    turned into a ValueError."""
+    try:
+        return kernel(*args)
+    except (MemoryError, OverflowError):  # no list of n counts fits
+        raise ValueError(
+            f"modulus {n} is too large: the triangle keeps one count per residue"
+        ) from None
+
+
 def triangle(seq: ZnSequence) -> TriangleSummary:
     """Triangle of a sequence: the residue counts of all its rows of
-    pairwise sums, and whether they are balanced."""
-    counts = _backend.triangle_counts(seq.elements, seq.modulus)
+    pairwise sums, and whether they are balanced.  Raises ValueError, before
+    counting, when the modulus is too large for one list of its counts."""
+    counts = _count(seq.modulus, _backend.triangle_counts, seq.elements, seq.modulus)
     return TriangleSummary(
         modulus=seq.modulus,
         length=len(seq),
@@ -140,10 +152,11 @@ def search_balanced_ap(n: int, m: int):
     Odd n only: that is where balanced progressions are known to exist for
     lengths in the right congruence classes, and the scan is not meaningful
     outside it.  Admissible lengths outside those classes may legitimately
-    return None.
+    return None.  Raises ValueError, before any table is built, when n is
+    too large for one list of n counts.
     """
     if n < 1 or m < 1:
         raise ValueError(f"arguments must be >= 1, got ({n}, {m})")
     if n % 2 == 0:
         raise ValueError(f"search_balanced_ap requires odd n, got {n}")
-    return _backend.search_balanced_ap(n, m)
+    return _count(n, _backend.search_balanced_ap, n, m)

@@ -195,14 +195,20 @@ def test_steinhaus_triangle_output():
 
 def test_steinhaus_triangle_huge_modulus_exits_1(monkeypatch):
     # No list of 10**15 counts can be allocated, so this fails at once, also
-    # for a progression mod odd n, before any row-class table is built.
+    # for a progression mod odd n and for a search at an admissible length,
+    # before any row-class table is built.
     def no_tables(*args):
         raise AssertionError("row-class table built")
 
     monkeypatch.setattr(_pykernels, "_row_class", no_tables)
-    for n, seq in ((10**15, "1,2"), (10**15 + 1, "1,2,3")):
+    for argv in (
+        ("triangle", str(10**15), "1,2"),
+        ("triangle", str(10**15 + 1), "1,2,3"),
+        ("search", str(10**20 + 1), str(10**20)),
+        ("search", str(10**15 + 1), str(10**15)),
+    ):
         t0 = time.perf_counter()
-        code, out, err = run_cli("steinhaus", "triangle", str(n), seq)
+        code, out, err = run_cli("steinhaus", *argv)
         assert time.perf_counter() - t0 < 5.0
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "too large" in err

@@ -107,6 +107,26 @@ def test_lift_order_brute_force_spot():
     assert lift_order(make_base_pair(125, 5), 7) == 20
 
 
+def test_lift_raises_on_a_wrong_order_at_the_base(monkeypatch):
+    # A planted fault: the engine gives 2 for the order of 2 mod 5, where the
+    # true order is 4.  Then gcd(125, 2**2 - 1) = 1 is not a multiple of 5,
+    # and every lift must raise instead of returning 2 * 125 = 250.
+    real = orders._order_value
+
+    def wrong(r, n):
+        return 2 if (r, n) == (2, 5) else real(r, n)
+
+    monkeypatch.setattr(orders, "_order_value", wrong)
+    monkeypatch.setattr(lifting, "_order_value", wrong)
+    message = "remainder gcd 1 is not a multiple of the base modulus 5"
+    with pytest.raises(ArithmeticError, match=message):
+        remainder_gcd(2, 5, 125)
+    pair = make_base_pair(125, 5)
+    for lift in (lift_order, lift_alpha, lift_beta):
+        with pytest.raises(ArithmeticError, match=message):
+            lift(pair, 2)
+
+
 def test_lift_alpha_known_values():
     assert lift_alpha(make_base_pair(9, 3), 2) == 2
     assert lift_alpha(make_base_pair(25, 5), 2) == 4

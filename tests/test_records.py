@@ -1,6 +1,6 @@
 """The record types' contract: repr text, equality and hashing, immutability,
 pickling, keyword construction; no throwaway records on the scalar paths;
-and the modules ``import ordlift.cli`` may load."""
+the package's public names; and the modules ``import ordlift.cli`` may load."""
 
 import math
 import os
@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import ordlift
-from ordlift import arith, lifting, orders
+from ordlift import arith, errors, lifting, orders, steinhaus
 from ordlift.lifting import TwoAdicCase
 from ordlift.steinhaus import ZnSequence
 
@@ -161,6 +161,20 @@ def test_scalar_paths_keep_their_errors():
         orders.proj_order(6, 10)
     with pytest.raises(ValueError, match=r"^multiplicative order requires n >= 1"):
         lifting.order_fast(3, 0)
+
+
+def test_public_names_are_the_modules_lists():
+    modules = (arith, errors, lifting, orders, steinhaus)
+    expected = {"kernel_backend"}.union(*(m.__all__ for m in modules))
+    assert set(ordlift.__all__) == expected
+    assert len(ordlift.__all__) == len(expected)  # no name listed twice
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(ordlift, name) is getattr(m, name)
+    namespace = {}
+    exec("from ordlift import *", namespace)
+    assert set(namespace) - {"__builtins__"} == expected
+    assert ordlift.kernel_backend in ("compiled", "pure-python")
 
 
 def _modules_after(code: str) -> set[str]:

@@ -197,6 +197,22 @@ def test_search_balanced_ap_rejects_even():
         search_balanced_ap(0, 4)
 
 
+def test_modulus_too_large_to_count_is_value_error(monkeypatch):
+    # No list of 10**20 + 1 counts can exist, so both fail at once with the
+    # domain error, before the doubling period or any row-class table.
+    def not_reached(*args):
+        raise AssertionError("counted past the size check")
+
+    monkeypatch.setattr(_pykernels, "_doubling_period", not_reached)
+    monkeypatch.setattr(_pykernels, "_row_class", not_reached)
+    n = 10**20 + 1
+    message = f"^modulus {n} is too large: the triangle keeps one count per residue$"
+    with pytest.raises(ValueError, match=message):
+        triangle(ZnSequence(n, (1, 2, 3)))
+    with pytest.raises(ValueError, match=message):
+        search_balanced_ap(n, n - 1)
+
+
 def test_search_returns_lexicographically_first():
     # The literal scan over all n**2 progressions, with literal triangle
     # counts, is the oracle: the search tests one pair per symmetry orbit and
