@@ -11,8 +11,9 @@ are not literal.
   mod odd n is 2^i (c + (i/2 + j) d).  So the rows whose i agree mod
   k = min(ord_n(2), m) share the factor 2^i, and their entries, counted
   over y = i/2 + j mod N = n/gcd(d, n), form one table per class that does
-  not depend on c or d.  The k tables give a progression's counts in
-  O(m + k N) steps instead of m(m+1)/2.
+  not depend on c or d.  Building them takes O(k N) steps at any m, and
+  they give a progression's counts in O(m + k N) steps instead of
+  m(m+1)/2.
 - ``triangle_counts`` takes the row classes when its input is a progression
   mod odd n and that bound is below the entry count.  Otherwise it steps
   whole rows packed into one int and counts them in byte chunks.
@@ -161,7 +162,21 @@ def _row_class(a: int, k: int, m: int, big_n: int) -> list[int]:
     Row i, of length m - i, covers y = i/2, i/2 + 1, ... mod N: its full
     periods add to every y alike, and its partial run is one interval,
     marked in a difference array.  The table is the prefix sums.
+
+    Row i + kN of the length-m triangle is row i of the length-(m - kN)
+    one: same length, same start.  So T(m) = T(m - kN) + B(m), where B(m)
+    counts the N rows i < kN, and B(m + kN) = B(m) + kN once m >= kN, as
+    each of those rows gains k full periods.  With j, m0 = divmod(m, kN),
+    that sums to T(m) = T(m0) + j (T(m0 + kN) - T(m0)) + kN j(j - 1)/2, so
+    any m costs O(N) rows.
     """
+    span = k * big_n
+    if m >= 2 * span:
+        j, m0 = divmod(m, span)
+        low = _row_class(a, k, m0, big_n)
+        high = _row_class(a, k, m0 + span, big_n)
+        c = span * j * (j - 1) // 2
+        return [x + j * (y - x) + c for x, y in zip(low, high)]
     half = (big_n + 1) // 2  # the inverse of 2 mod N
     full = 0
     diff = [0] * (big_n + 1)

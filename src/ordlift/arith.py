@@ -46,6 +46,21 @@ _RHO_BUDGET = 1 << 21
 # and passes.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# (psi_k, k): every odd composite n < psi_k fails the strong test to one of
+# the first k witnesses, and psi_k itself, a composite, passes all k (OEIS
+# A014233; Jaeschke 1993, Jiang-Deng 2014).  psi_8 = psi_7 and psi_10 =
+# psi_11 = psi_9, so those counts never pay; from psi_9 on all twelve run.
+_MR_BOUNDS = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+)
+
 
 class Factorization(namedtuple("Factorization", "value factors")):
     """Prime factorization of a positive integer ``value``.
@@ -67,16 +82,26 @@ class Factorization(namedtuple("Factorization", "value factors")):
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality test, deterministic below psi_12 ~ 3.19e23."""
+    """Miller-Rabin primality test, deterministic below psi_12 ~ 3.19e23.
+
+    The bases are the first k primes, k graded by the size of n: the fewest
+    that are proven enough below the bounds psi_k of OEIS A014233
+    (``_MR_BOUNDS``), and all twelve from psi_9 ~ 3.8e18 on.
+    """
     if n < 2:
         return False
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    witnesses = _MR_WITNESSES
+    for bound, k in _MR_BOUNDS:
+        if n < bound:
+            witnesses = _MR_WITNESSES[:k]
+            break
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_WITNESSES:
+    for a in witnesses:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -8,7 +8,7 @@ the paper's growth law d * p**max(0, k - k0), where p**k0 = gcd(r**d - 1,
 p**k), and takes the lcm over the prime powers.  For p = 2 and k >= 2 it
 starts from the order mod 4, the base modulus the lifting needs when 4 | n.
 alpha is d / gcd(d, n), and beta is alpha halved when (a**n)**(alpha/2) is
--1 mod n.
+-1 mod n, which beta tests as a**(d/2) = -1, the test proj_order makes.
 
 Two independent routes stay for checking: ``_order_phi`` strips the prime
 factors of phi(n) from phi(n), the reference ``verify_claims`` and the tests
@@ -160,6 +160,12 @@ def remainder_gcd(a: int, n2: int, n1: int) -> int:
     return rg
 
 
+def _minus_one_at_half(r: int, d: int, n: int) -> bool:
+    """True iff d, the order of r mod n, is even and r**(d/2) = -1 mod n,
+    with n > 2, where +1 and -1 differ."""
+    return n > 2 and d % 2 == 0 and pow(r, d // 2, n) == n - 1
+
+
 def proj_order(a: int, n: int) -> int:
     """Smallest e >= 1 with a**e = +-1 mod n, for a coprime to n.
 
@@ -168,9 +174,7 @@ def proj_order(a: int, n: int) -> int:
     """
     r = _reduced_coprime(a, n, "multiplicative order")
     d = _order_value(r, n)
-    if n > 2 and d % 2 == 0 and pow(r, d // 2, n) == n - 1:
-        return d // 2
-    return d
+    return d // 2 if _minus_one_at_half(r, d, n) else d
 
 
 def alpha(a: int, n: int) -> int:
@@ -191,15 +195,20 @@ def alpha(a: int, n: int) -> int:
 def beta(a: int, n: int) -> int:
     """Projective order of a**n mod n when gcd(a, n) = 1, else 0.
 
-    a**n has order alpha(a, n), so its projective order is alpha / 2 when
-    alpha is even and (a**n)**(alpha/2) = -1 mod n with n > 2, else alpha.
+    a**n has order h = alpha(a, n), so its projective order is h / 2 when h
+    is even and (a**n)**(h/2) = -1 mod n with n > 2, else h.  That power is
+    tested at exponent d/2, d the order of a: h = d/gcd(d, n) even gives
+    v2(n) < v2(d), so n/gcd(d, n) is odd and (a**n)**(h/2) =
+    (a**(d/2))**(n/gcd(d, n)) = a**(d/2), as a**(d/2) squares to 1.
     """
     if n < 1:
         raise ValueError(f"beta requires n >= 1, got {n}")
-    h = alpha(a, n)
-    if h and h % 2 == 0 and n > 2 and pow(a, n * (h // 2), n) == n - 1:
-        return h // 2
-    return h
+    r = a % n
+    if math.gcd(r, n) != 1:
+        return 0
+    d = _order_value(r, n)
+    h = d // math.gcd(d, n)
+    return h // 2 if h % 2 == 0 and _minus_one_at_half(r, d, n) else h
 
 
 def alpha_oracle(a: int, n: int) -> int:

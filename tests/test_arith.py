@@ -1,12 +1,14 @@
 """Tests for the integer arithmetic primitives."""
 
 import math
+import random
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordlift import arith
 from ordlift.arith import (
     Factorization,
     divisors,
@@ -86,6 +88,82 @@ def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(50):
         assert is_prime(n) == (n in primes)
+
+
+# OEIS A014233: psi_k, the smallest odd composite that is a strong probable
+# prime to each of the first k prime bases.
+PSI = {
+    1: 2047,
+    2: 1373653,
+    3: 25326001,
+    4: 3215031751,
+    5: 2152302898747,
+    6: 3474749660383,
+    7: 341550071728321,
+    8: 341550071728321,
+    9: 3825123056546413051,
+    10: 3825123056546413051,
+    11: 3825123056546413051,
+    12: 318665857834031151167461,
+}
+FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def strong_probable_prime(n, a):
+    """True iff odd n > 2 passes the strong (Miller-Rabin) test to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def is_prime_12_bases(n):
+    """Miller-Rabin with all twelve of the first primes as bases, always."""
+    if n < 2:
+        return False
+    for p in FIRST_PRIMES:
+        if n % p == 0:
+            return n == p
+    return all(strong_probable_prime(n, a) for a in FIRST_PRIMES)
+
+
+def test_witness_bounds_are_a014233():
+    # Every count skipped (8, 10, 11) has the same bound as the one below it.
+    assert arith._MR_BOUNDS == tuple((PSI[k], k) for k in (1, 2, 3, 4, 5, 6, 7, 9))
+    assert arith._MR_WITNESSES == FIRST_PRIMES
+    assert PSI[8] == PSI[7] and PSI[10] == PSI[11] == PSI[9]
+
+
+def test_witness_bounds_are_tight():
+    # psi_k is composite (some base below 200 exposes it) yet passes the
+    # first k bases, so each bound is strict: psi_k needs a (k+1)th base.
+    for k, psi in PSI.items():
+        assert not all(strong_probable_prime(psi, a) for a in range(2, 200)), k
+        assert all(strong_probable_prime(psi, a) for a in FIRST_PRIMES[:k]), k
+
+
+def test_is_prime_rejects_each_graded_bound():
+    for k, psi in PSI.items():
+        # psi_12 passes all twelve bases: the known fault past the fixed bases.
+        assert is_prime(psi) == (k == 12), k
+
+
+def test_is_prime_graded_matches_twelve_bases():
+    windows = [n for psi in PSI.values() for n in range(psi - 50, psi + 51)]
+    rng = random.Random(1993)
+    odd = [rng.getrandbits(bits) | 1 | 1 << (bits - 1)
+           for bits in range(2, 91) for _ in range(60)]
+    verdicts = {n: is_prime_12_bases(n) for n in windows + odd}
+    assert 0 < sum(verdicts.values()) < len(verdicts)
+    for n, want in verdicts.items():
+        assert is_prime(n) == want, n
 
 
 def test_valuation_known_values():

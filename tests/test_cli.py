@@ -222,6 +222,15 @@ def test_steinhaus_search_output():
     assert code == 0 and out.strip() == "none"
 
 
+def test_steinhaus_search_huge_length_is_fast():
+    # Rows i and i + k*N of a row class repeat their runs, so the tables
+    # cost O(k*N) rows, not one per row of a 10**20-row triangle.
+    t0 = time.perf_counter()
+    code, out, err = run_cli("steinhaus", "search", "3", "99999999999999999999")
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 0 and out.strip() == "(1,2)" and err == ""
+
+
 def test_steinhaus_search_even_modulus_is_domain_error():
     code, _, err = run_cli("steinhaus", "search", "4", "4")
     assert code == 1

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ordlift.arith import euler_phi, factorize
 from ordlift.errors import InvalidPairError, NotCoprimeError
+from ordlift.lifting import beta_fast, canonical_base, lift_beta, make_base_pair
 from ordlift.orders import (
     _order_phi,
     _order_value,
@@ -242,6 +243,56 @@ def test_beta_equals_projective_quotient():
                 continue
             po = proj_order(a, n)
             assert beta(a, n) == po // math.gcd(po, n)
+
+
+def _beta_by_definition(a, n):
+    """beta as defined: alpha halved iff (a**n)**(alpha/2) = -1 mod n."""
+    h = alpha(a, n)
+    if h and h % 2 == 0 and n > 2 and pow(a, n * (h // 2), n) == n - 1:
+        return h // 2
+    return h
+
+
+def _check_beta_routes(cases):
+    """beta, beta_fast and lift_beta from the canonical base all equal the
+    definition on every (a, n); returns how many of them halve alpha."""
+    halved = 0
+    for a, n in cases:
+        want = _beta_by_definition(a, n)
+        assert beta(a, n) == want, (a, n)
+        assert beta_fast(a, n) == want, (a, n)
+        if math.gcd(a, n) == 1:
+            assert lift_beta(make_base_pair(n, canonical_base(n)), a) == want, (a, n)
+        halved += want != alpha(a, n)
+    return halved
+
+
+def test_beta_matches_definition_desk_grid():
+    # beta tests a**(d/2) = -1, d the order of a, instead of the power of
+    # a**n; the two agree whenever alpha is even.
+    cases = [(a, n) for n in range(1, 2001) for a in range(-30, 31)]
+    assert _check_beta_routes(cases) > 0
+
+
+def _wide_modulus(rng):
+    """A 64- to 100-bit modulus: a power of 2 times powers of locally
+    generated primes of 12 to 24 bits."""
+    while True:
+        n = 2 ** rng.randint(0, 6)
+        while n.bit_length() < 64:
+            n *= _random_prime(rng, rng.randint(12, 24)) ** rng.randint(1, 3)
+        if n.bit_length() <= 100:
+            return n
+
+
+def test_beta_matches_definition_wide_moduli():
+    rng = random.Random(1509)
+    cases = []
+    for _ in range(30):
+        n = _wide_modulus(rng)
+        cases += [(a, n) for a in (-1, 2, 3)]
+        cases += [(rng.randrange(-n, n), n) for _ in range(5)]
+    assert 0 < _check_beta_routes(cases) < len(cases)
 
 
 @given(st.integers(-500, 500), st.integers(1, 500))

@@ -228,6 +228,21 @@ def test_search_returns_lexicographically_first():
         assert search_balanced_ap(n, m) == literal_search(n, m), (n, m)
 
 
+def test_search_and_counts_past_the_row_period():
+    # Lengths up to three row periods k*n, k = ord_n(2): from two periods on,
+    # the row-class tables come from those at m mod k*N and one period more.
+    rng = random.Random(1978)
+    for n in (3, 5, 7, 9, 11):
+        period = next(k for k in range(1, n + 1) if pow(2, k, n) == 1) * n
+        for m in range(1, 3 * period + 1):
+            if n <= 7 and length_admissible(m, n):
+                assert search_balanced_ap(n, m) == literal_search(n, m), (n, m)
+            if m % 5 == 0 or m % period in (0, 1, period - 1):
+                ap = ap_sequence(rng.randrange(n), rng.randrange(n), m, n).elements
+                want = literal_triangle_counts(ap, n)
+                assert _pykernels.triangle_counts(ap, n) == want, (ap[:2], m, n)
+
+
 def test_oracles_import_nothing_from_ordlift():
     # The triangle and search cross-checks rest on tests/oracles.py alone.
     tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
