@@ -1,11 +1,8 @@
 """Pure-Python kernels for the hot loops.
 
-The compiled twin in ``_kernels.pyx`` implements the same four functions;
-its search is the literal scan of all n**2 progressions, for any n.
-``_backend`` picks the compiled scans and triangle counts when they are
-built, and always this module's search.  The scans are literal loops and
-double as the reference the compiled scans are tested against.  The others
-are not literal.
+These are the only kernels ordlift runs.  The scans are literal loops and
+double as the reference the compiled twins in ``_kernels.pyx`` are tested
+against.  The others are not literal.
 
 - Row classes.  Entry j of row i of the triangle of the progression (c, d)
   mod odd n is 2^i (c + (i/2 + j) d).  So the rows whose i agree mod

@@ -33,7 +33,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from ordlift import _backend
+from ordlift import _pykernels
 from ordlift.arith import _factor_pairs
 from ordlift.errors import InvalidPairError, NotCoprimeError
 
@@ -221,7 +221,7 @@ def alpha_oracle(a: int, n: int) -> int:
     r = a % n
     if math.gcd(r, n) != 1:
         return 0
-    return _backend.order_scan(pow(r, n, n), n)
+    return _pykernels.order_scan(pow(r, n, n), n)
 
 
 def beta_oracle(a: int, n: int) -> int:
@@ -231,4 +231,4 @@ def beta_oracle(a: int, n: int) -> int:
     r = a % n
     if math.gcd(r, n) != 1:
         return 0
-    return _backend.proj_order_scan(pow(r, n, n), n)
+    return _pykernels.proj_order_scan(pow(r, n, n), n)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from ordlift import _backend
+from ordlift import _pykernels
 
 __all__ = [
     "TriangleSummary",
@@ -100,7 +100,7 @@ def triangle(seq: ZnSequence) -> TriangleSummary:
     """Triangle of a sequence: the residue counts of all its rows of
     pairwise sums, and whether they are balanced.  Raises ValueError, before
     counting, when the modulus is too large for one list of its counts."""
-    counts = _count(seq.modulus, _backend.triangle_counts, seq.elements, seq.modulus)
+    counts = _count(seq.modulus, _pykernels.triangle_counts, seq.elements, seq.modulus)
     return TriangleSummary(
         modulus=seq.modulus,
         length=len(seq),
@@ -141,13 +141,7 @@ def search_balanced_ap(n: int, m: int):
     steps that share a factor with n, which are never balanced; the result
     is still the lexicographically first witness of the full scan.  Each
     candidate's triangle is counted in closed form by row classes, from k
-    tables of n counts, k = min(ord_n(2), m), built once per call.  This
-    search runs in pure Python even when the compiled kernels are built.
-    Their full scan of all n**2 pairs was the faster one on the traced
-    benchmark run's six searches at m = 2n, n = 13..25: 96 us against
-    122 us per search (``BENCH_8.json``).  At the paper's lengths for n = 29
-    and odd n from 37 to 61 it took 639 ms for all 44 searches against
-    19 ms.
+    tables of n counts, k = min(ord_n(2), m), built once per call.
 
     Odd n only: that is where balanced progressions are known to exist for
     lengths in the right congruence classes, and the scan is not meaningful
@@ -159,4 +153,4 @@ def search_balanced_ap(n: int, m: int):
         raise ValueError(f"arguments must be >= 1, got ({n}, {m})")
     if n % 2 == 0:
         raise ValueError(f"search_balanced_ap requires odd n, got {n}")
-    return _count(n, _backend.search_balanced_ap, n, m)
+    return _count(n, _pykernels.search_balanced_ap, n, m)

@@ -14,7 +14,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_desk_grid_run_reports_every_per_layer_metric(tmp_path):
+# desk-grid is the paper's regime; steinhaus-search's spans run through the
+# triangle and search kernels that steinhaus calls.
+@pytest.mark.parametrize("workload", ["desk-grid", "steinhaus-search"])
+def test_traced_run_reports_every_per_layer_metric(tmp_path, workload):
     pytest.importorskip("numpy", reason="perfbench's tracer needs numpy")
     if shutil.which("gcc") is None:
         pytest.skip("gcc is missing: the traced run compiles the kernels with it")
@@ -25,7 +28,7 @@ def test_traced_desk_grid_run_reports_every_per_layer_metric(tmp_path):
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "desk-grid",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "1", "--trace", "1"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
     )

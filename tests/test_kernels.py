@@ -1,20 +1,17 @@
-"""The compiled kernels must agree with the pure-Python scans and with the
-literal triangle counts and search of ``oracles``.
+"""The pure-Python kernels, the only ones ordlift runs, and their compiled
+twins, which the benchmark's traced run compares them with, must agree with
+each other and with the literal triangle counts and search of ``oracles``.
 
-When ``ordlift._kernels`` is not importable, the tests build it from the
-shipped ``_kernels.c`` through ``setup.py build_ext`` into a temporary
-directory, never in place, and load it from there.  They skip only when that
-build yields no module, which is what the optional extension does without a
-working C compiler.
+The compiled twins are built from the shipped ``_kernels.c`` by
+``perfbench/kernels.py``'s ``build``, the recipe the traced run uses, into a
+temporary directory, never in place.  Their tests skip only when that build
+returns no module, as it does without gcc or the Python headers.
 """
 
 import importlib.util
 import math
 import random
 import re
-import subprocess
-import sys
-import sysconfig
 import tracemalloc
 from pathlib import Path
 
@@ -22,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordlift import _backend, _pykernels
+from ordlift import _pykernels, steinhaus
 from oracles import literal_search, literal_triangle_counts
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,42 +28,14 @@ PACKAGE = ROOT / "src" / "ordlift"
 
 @pytest.fixture(scope="module")
 def compiled(tmp_path_factory):
-    try:
-        from ordlift import _kernels
-
-        return _kernels
-    except ImportError:
-        pass
-    out = tmp_path_factory.mktemp("kernels")
-    subprocess.run(
-        [sys.executable, "setup.py", "build_ext",
-         "--build-lib", str(out), "--build-temp", str(out)],
-        cwd=ROOT, capture_output=True, check=True, timeout=300,
-    )
-    path = out / "ordlift" / ("_kernels" + sysconfig.get_config_var("EXT_SUFFIX"))
-    if not path.is_file():
-        pytest.skip("compiled kernels could not be built (no C compiler?)")
-    spec = importlib.util.spec_from_file_location("ordlift._kernels", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    # Cython's module init registers itself in sys.modules, which would make
-    # every later import of ordlift._backend pick the compiled kernels.
-    sys.modules.pop("ordlift._kernels", None)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_kernels", ROOT / "perfbench" / "kernels.py")
+    recipe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(recipe)
+    module, reason = recipe.build(ROOT, tmp_path_factory.mktemp("kernels"))
+    if module is None:
+        pytest.skip(f"compiled kernels could not be built: {reason}")
     return module
-
-
-@pytest.fixture
-def backend(compiled, monkeypatch):
-    """``_backend`` re-imported with ``compiled`` as ``ordlift._kernels``."""
-    monkeypatch.setitem(sys.modules, "ordlift._kernels", compiled)
-    importlib.reload(_backend)
-    yield _backend
-    monkeypatch.undo()
-    importlib.reload(_backend)
-
-
-def test_backend_reports_compiled(backend):
-    assert backend.BACKEND == "compiled"
 
 
 def test_order_scans_agree_on_grid(compiled):
@@ -252,22 +221,22 @@ def test_orbit_least_matches_enumerated_orbit():
                     ), (c, d, m, n)
 
 
-def test_backend_search_is_the_pure_one(backend, monkeypatch):
-    # The orbit search beats the compiled full scan, so dispatch never uses
-    # the compiled search even when it is built.
+def test_backend_search_is_the_pure_one(monkeypatch):
+    # steinhaus looks the kernel up on _pykernels at call time, so a
+    # replacement there (the benchmark's tracer makes one) is what runs.
     calls = []
     monkeypatch.setattr(
         _pykernels, "search_balanced_ap", lambda n, m: calls.append((n, m)) or (0, 1)
     )
-    assert backend.search_balanced_ap(9, 17) == (0, 1)
+    assert steinhaus.search_balanced_ap(9, 17) == (0, 1)
     assert calls == [(9, 17)]
 
 
-def test_backend_falls_back_above_word_size(backend):
-    # moduli past the 64-bit fast path must still work through the dispatcher
+def test_scans_take_moduli_past_word_size():
+    # the compiled twins stop at 64 bits; the scans ordlift runs do not
     n = (1 << 64) + 13
-    assert backend.order_scan(n - 1, n) == 2  # (-1)**2 = 1
-    assert backend.proj_order_scan(n - 1, n) == 1
+    assert _pykernels.order_scan(n - 1, n) == 2  # (-1)**2 = 1
+    assert _pykernels.proj_order_scan(n - 1, n) == 1
 
 
 def test_shipped_c_matches_pyx():

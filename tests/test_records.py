@@ -1,12 +1,15 @@
 """The record types' contract: repr text, equality and hashing, immutability,
 pickling, keyword construction; no throwaway records on the scalar paths;
-the package's public names; and the modules ``import ordlift.cli`` may load."""
+the package's public names; and the modules ``import ordlift`` and
+``import ordlift.cli`` may load."""
 
 import math
 import os
 import pickle
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -174,7 +177,7 @@ def test_public_names_are_the_modules_lists():
     namespace = {}
     exec("from ordlift import *", namespace)
     assert set(namespace) - {"__builtins__"} == expected
-    assert ordlift.kernel_backend in ("compiled", "pure-python")
+    assert ordlift.kernel_backend == "pure-python"
 
 
 def _modules_after(code: str) -> set[str]:
@@ -192,3 +195,32 @@ def test_cli_import_footprint():
     added = _modules_after("import ordlift.cli") - _modules_after("")
     assert "ordlift.cli" in added
     assert not added & {"dataclasses", "inspect", "ast", "dis", "json"}
+
+
+# The oracles, a triangle of each route and two searches.
+_KERNEL_CALLS = """(
+    [ordlift.alpha_oracle(a, n) for n in range(1, 80) for a in range(-6, 7)],
+    [ordlift.beta_oracle(a, n) for n in range(1, 80) for a in range(-6, 7)],
+    ordlift.triangle(ordlift.ap_sequence(2, 5, 40, 9)),
+    ordlift.triangle(ordlift.ZnSequence(6, (1, 4, 0, 3, 5, 2, 2))),
+    ordlift.search_balanced_ap(13, 26),
+    ordlift.search_balanced_ap(9, 18),
+)"""
+
+
+def test_import_loads_no_compiled_kernels(tmp_path):
+    # A _kernels module that breaks on import: ordlift must load neither it
+    # nor the tracer's _backend shim, and must give the same answers as here.
+    shutil.copytree(Path(ordlift.__file__).parents[1], tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+    (tmp_path / "src" / "ordlift" / "_kernels.py").write_text(
+        'raise RuntimeError("ordlift._kernels must not be imported")\n')
+    code = (f"import sys, ordlift\nprint(repr({_KERNEL_CALLS}))\n"
+            "print(sorted({'ordlift._kernels', 'ordlift._backend'} & set(sys.modules)))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(tmp_path / "src")), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    here = repr(eval(_KERNEL_CALLS, {"ordlift": ordlift}))
+    assert proc.stdout.splitlines() == [here, "[]"]
