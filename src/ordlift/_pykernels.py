@@ -1,8 +1,8 @@
 """Pure-Python kernels for the hot loops.
 
-These are the only kernels ordlift runs.  The scans are literal loops and
-double as the reference the compiled twins in ``_kernels.pyx`` are tested
-against.  The others are not literal.
+These are the only kernels ordlift runs.  The two order scans share one
+literal walk and double as the reference the compiled twins in
+``_kernels.pyx`` are tested against.  The others are not literal.
 
 - Row classes.  Entry j of row i of the triangle of the progression (c, d)
   mod odd n is 2^i (c + (i/2 + j) d).  So the rows whose i agree mod
@@ -14,9 +14,8 @@ against.  The others are not literal.
 - ``triangle_counts`` takes the row classes when its input is a progression
   mod odd n and that bound is below the entry count.  Otherwise it steps
   whole rows packed into one int and counts them in byte chunks.
-- ``search_balanced_ap`` takes odd n only.  It tests one progression per
-  symmetry orbit, with a unit step, and counts it with row-class tables
-  built once per call.
+- ``search_balanced_ap`` takes odd n only and returns the first balanced
+  pair of the lexicographic scan; its docstring states which pairs it counts.
 
 The tests check ``triangle_counts`` and ``search_balanced_ap``, and their
 compiled twins, against the literal row-by-row loop and the literal scan of
@@ -44,32 +43,27 @@ _COUNT_BY_RESIDUE_MAX_N = 40
 
 
 def order_scan(base: int, n: int) -> int:
-    """Smallest e >= 1 with base**e = 1 mod n, found by literal iteration.
+    """Smallest e >= 1 with base**e = 1 mod n, found by literal iteration."""
+    return _walk(base, n, 1)
 
-    The caller guarantees gcd(base, n) = 1; the cap at n iterations turns a
+
+def proj_order_scan(base: int, n: int) -> int:
+    """Smallest e >= 1 with base**e = +-1 mod n, found by literal iteration."""
+    return _walk(base, n, n - 1 if n > 2 else 1)
+
+
+def _walk(base: int, n: int, stop: int) -> int:
+    """Smallest e >= 1 with base**e = 1 or stop mod n, by walking base,
+    base**2, ... mod n.
+
+    The caller guarantees gcd(base, n) = 1; the cap at n steps turns a
     violated precondition into an error instead of a hang.
     """
     if n == 1:
         return 1
     b = base % n
-    x = b
-    e = 1
-    while x != 1:
-        x = x * b % n
-        e += 1
-        if e > n:
-            raise ValueError("iteration cap hit: base not coprime to modulus")
-    return e
-
-
-def proj_order_scan(base: int, n: int) -> int:
-    """Smallest e >= 1 with base**e = +-1 mod n, found by literal iteration."""
-    if n <= 2:
-        return order_scan(base, n)
-    b = base % n
-    x = b
-    e = 1
-    while x != 1 and x != n - 1:
+    x, e = b, 1
+    while x != 1 and x != stop:
         x = x * b % n
         e += 1
         if e > n:
@@ -219,53 +213,23 @@ def _add_progression(counts: list[int], c: int, d: int, m: int, n: int, k: int) 
         u = 2 * u % n
 
 
-def _least_unit(x: int, k: int, n: int) -> int:
-    """Smallest unit mod n that is = x (mod k), k | n: a short step search
-    from x mod k."""
-    y = x % k
-    while gcd(y, n) != 1:
-        y += k
-    return y
-
-
-def _orbit_least(c: int, d: int, m: int, n: int) -> bool:
-    """True iff the progression (c, d) of length m is the lexicographically
-    smallest pair of its orbit under unit scaling, (c, d) -> (uc, ud), and
-    reversal, (c, d) -> (c + (m-1)d, -d).  Both maps preserve balance.
-
-    The search asks only about c = 0 or a proper divisor of n, where the
-    unit orbit of c starts, and d a unit mod n; other pairs are outside
-    this contract.
-    """
-    h = gcd(c, n)
-    k = n // h  # the units fixing c are those = 1 (mod k)
-    if _least_unit(d, k, n) != d:
-        return False
-    c2 = (c + (m - 1) * d) % n
-    h2 = gcd(c2, n) % n
-    if h2 != c:
-        return h2 > c
-    # The reversed pairs that start with c are u*(c2, -d) for the units u
-    # with u*c2 = c: one such u times the units fixing c.  Only u mod k
-    # matters, so u need not be lifted to a unit mod n.
-    u = pow(c2 // h, -1, k)
-    return _least_unit(u * -d, k, n) >= d
-
-
 def search_balanced_ap(n: int, m: int):
     """First (start, step) in [0,n)^2, scanned lexicographically, whose
     length-m arithmetic progression has a balanced triangle mod n; None if
     none.  n must be odd: ``steinhaus.search_balanced_ap`` rejects even n.
 
-    Balance is the same for every pair of a symmetry orbit, so only the
-    smallest pair of each orbit is counted: the first balanced one is the
-    first balanced pair of the whole scan.
-
     A step d that shares a factor g > 1 with n is skipped: mod g every
     entry (i, j) is 2^i c, so the entries miss the residues = 0 mod g when
     c is not = 0 mod g, and all others when it is.  So N = n for every
-    candidate, and the k row-class tables over Z/n are built once per call
-    and shared by all of them.
+    candidate, and the k row-class tables over Z/n are built once per call.
+
+    Scaling by a unit, (c, d) -> (uc, ud), and reversal, (c, d) ->
+    (c + (m-1)d, -d), preserve balance, and only the least pair of each
+    orbit they generate is counted.  Scaling by 1/d takes (c, d) to (r, 1),
+    r = c/d, and reversal takes r to 1 - m - r, so a pair is counted only
+    when its r is new.  That pair is its orbit's least: the least c of a
+    unit orbit is 0 or a proper divisor of n, the only starts scanned.  So
+    the first balanced pair counted is the first of the whole scan.
     """
     total = m * (m + 1) // 2
     if total % n:
@@ -274,12 +238,18 @@ def search_balanced_ap(n: int, m: int):
     counts = [0] * n  # first, so a modulus too large to count fails at once
     k = _doubling_period(n, m)
     classes = [(pow(2, a, n), _row_class(a, k, m, n)) for a in range(k)]
+    seen = set()
     for c in range(n):
         if gcd(c, n) % n != c:  # no pair of this row is least in its orbit
             continue
         for d in range(n):
-            if gcd(d, n) != 1 or not _orbit_least(c, d, m, n):
+            if gcd(d, n) != 1:
                 continue
+            rep = c * pow(d, -1, n) % n
+            if rep in seen:
+                continue
+            seen.add(rep)
+            seen.add((1 - m - rep) % n)
             for u, table in classes:
                 _add_row_class(counts, table, u, c, d, n)
             if all(v == target for v in counts):

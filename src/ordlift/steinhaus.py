@@ -9,10 +9,11 @@ n | m(m+1)/2.
 The triangle of a progression mod odd n has a closed form by row classes:
 row i is 2^i times a shifted progression, so rows whose i agree mod
 ord_n(2) share one table of counts that does not depend on the
-progression.  The pure-Python progression search builds those tables once
-per call and tests one progression per orbit of the two maps that preserve
-balance, scaling by a unit and reversal.  ``triangle`` counts a progression
-the same way when that costs fewer steps than the triangle has entries.
+progression.  The progression search returns the first balanced pair of
+the full lexicographic scan; its kernel, ``_pykernels.search_balanced_ap``,
+says which pairs it counts, each from those tables, built once per call.
+``triangle`` counts a progression the same way when that costs fewer steps
+than the triangle has entries.
 Sequences and triangle summaries are named tuples.
 """
 
@@ -135,13 +136,10 @@ def search_balanced_ap(n: int, m: int):
     """First (start, step) pair in [0,n)^2, in lexicographic order, whose
     length-m arithmetic progression is balanced mod n; None if there is none.
 
-    The search visits the pairs in that order but counts only the smallest
-    pair of each orbit under (c, d) -> (uc, ud) for units u and
-    (c, d) -> (c + (m-1)d, -d), both of which preserve balance, and skips
-    steps that share a factor with n, which are never balanced; the result
-    is still the lexicographically first witness of the full scan.  Each
-    candidate's triangle is counted in closed form by row classes, from k
-    tables of n counts, k = min(ord_n(2), m), built once per call.
+    ``_pykernels.search_balanced_ap`` does the search and says which pairs
+    it counts.  Each candidate's triangle is counted in closed form by row
+    classes, from k tables of n counts, k = min(ord_n(2), m), built once per
+    call.
 
     Odd n only: that is where balanced progressions are known to exist for
     lengths in the right congruence classes, and the scan is not meaningful

@@ -66,6 +66,17 @@ def test_order_scan_against_phi_route(compiled):
                 assert compiled.order_scan(a, n) == mult_order(a, n).order
 
 
+def test_pure_scans_against_engine():
+    # the scans ordlift runs, checked without the compiled twins
+    from ordlift.orders import mult_order, proj_order
+
+    for n in range(1, 300):
+        for a in range(-25, 25):
+            if math.gcd(a, n) == 1:
+                assert _pykernels.order_scan(a, n) == mult_order(a, n).order, (a, n)
+                assert _pykernels.proj_order_scan(a, n) == proj_order(a, n), (a, n)
+
+
 def test_scan_caps_on_noncoprime_base(compiled):
     with pytest.raises(ValueError):
         compiled.order_scan(6, 10)
@@ -204,21 +215,44 @@ def test_closed_form_counts_match_row_by_row():
         assert counts == literal_triangle_counts(expanded, n), (c, d, m, n)
 
 
-def test_orbit_least_matches_enumerated_orbit():
-    # Every pair the search asks about: odd n, c = 0 or a proper divisor of
-    # n, and d a unit.
+def test_search_counts_one_candidate_per_orbit(monkeypatch):
+    # Every candidate adds its k = min(ord_n(2), m) row classes, so the
+    # search counts calls // k candidates.  Orbits are enumerated by brute
+    # force over all pairs with a unit step, under unit scaling and reversal.
+    calls = [0]
+    add_row_class = _pykernels._add_row_class
+
+    def counted(*args):
+        calls[0] += 1
+        return add_row_class(*args)
+
+    monkeypatch.setattr(_pykernels, "_add_row_class", counted)
+    cases = witnessed = candidates = 0
     for n in range(1, 22, 2):
         units = [u for u in range(n) if math.gcd(u, n) == 1]
-        starts = [c for c in range(n) if math.gcd(c, n) % n == c]
-        for m in range(1, 2 * n + 2, 3):
-            for c in starts:
+        for m in range(1, 2 * n + 2):
+            if m * (m + 1) // 2 % n:
+                continue
+            least = {}
+            for c in range(n):
                 for d in units:
                     c2, d2 = (c + (m - 1) * d) % n, -d % n
                     orbit = [(u * c % n, u * d % n) for u in units]
                     orbit += [(u * c2 % n, u * d2 % n) for u in units]
-                    assert _pykernels._orbit_least(c, d, m, n) == (
-                        min(orbit) == (c, d)
-                    ), (c, d, m, n)
+                    least[c, d] = min(orbit)
+            calls[0] = 0
+            found = _pykernels.search_balanced_ap(n, m)
+            k = _pykernels._doubling_period(n, m)
+            assert calls[0] % k == 0, (n, m)
+            cases += 1
+            candidates += calls[0] // k
+            if found is not None:
+                witnessed += 1
+                assert least[found] == found, (n, m, found)
+            # once for each orbit whose least pair is reached by the scan
+            reached = {p for p in least.values() if found is None or p <= found}
+            assert calls[0] // k == len(reached), (n, m)
+    assert (cases, witnessed, candidates) == (51, 15, 301)
 
 
 def test_backend_search_is_the_pure_one(monkeypatch):

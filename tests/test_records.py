@@ -1,8 +1,9 @@
 """The record types' contract: repr text, equality and hashing, immutability,
 pickling, keyword construction; no throwaway records on the scalar paths;
-the package's public names; and the modules ``import ordlift`` and
+the package's public names; README's examples; and the modules ``import ordlift`` and
 ``import ordlift.cli`` may load."""
 
+import doctest
 import math
 import os
 import pickle
@@ -178,6 +179,12 @@ def test_public_names_are_the_modules_lists():
     exec("from ordlift import *", namespace)
     assert set(namespace) - {"__builtins__"} == expected
     assert ordlift.kernel_backend == "pure-python"
+
+
+def test_readme_examples_pass_as_doctests():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    failed, attempted = doctest.testfile(str(readme), module_relative=False)
+    assert attempted >= 7 and failed == 0
 
 
 def _modules_after(code: str) -> set[str]:
