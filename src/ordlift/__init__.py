@@ -2,8 +2,8 @@
 beta functions of a**n, exact order lifting to the square-free core of the
 modulus, and Steinhaus triangle tools.
 
-The brute-force order scans, the triangle accumulation and the progression
-search run in the pure-Python kernels of ``_pykernels``.
+The brute-force order scans live in ``orders``, and the triangle
+accumulation and the progression search in ``steinhaus``, all pure Python.
 ``ordlift.kernel_backend`` is the constant ``"pure-python"``, kept for one
 release.
 

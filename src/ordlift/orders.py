@@ -10,10 +10,12 @@ starts from the order mod 4, the base modulus the lifting needs when 4 | n.
 alpha is d / gcd(d, n), and beta is alpha halved when (a**n)**(alpha/2) is
 -1 mod n, which beta tests as a**(d/2) = -1, the test proj_order makes.
 
-Two independent routes stay for checking: ``_order_phi`` strips the prime
-factors of phi(n) from phi(n), the reference ``verify_claims`` and the tests
-hold the engine to, and the *_oracle functions recompute alpha and beta by
-literal exponent iteration.  Both routes test their congruence before
+Two independent routes stay for checking.  ``_order_phi`` strips the prime
+factors of phi(n) from phi(n); it is the reference ``verify_claims`` and the
+tests hold the engine to.  The *_oracle functions recompute alpha and beta
+by literal exponent iteration in ``order_scan`` and ``proj_order_scan``, one
+capped walk that is also the reference for the compiled twins in
+``_kernels.pyx``.  The engine and ``_order_phi`` test their congruence before
 stripping (r**(p - 1) = 1 mod p for each prime, r**phi(n) = 1 mod n), so a
 composite factor that passed the primality test raises ArithmeticError
 instead of giving a wrong order.
@@ -33,7 +35,6 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from ordlift import _pykernels
 from ordlift.arith import _factor_pairs
 from ordlift.errors import InvalidPairError, NotCoprimeError
 
@@ -114,7 +115,18 @@ def _order_phi(r: int, n: int) -> int:
     return e
 
 
+def _reduced_or_none(a: int, n: int, what: str):
+    """a mod n when it is coprime to n, else None; ``what`` names the caller
+    in the error for n < 1."""
+    if n < 1:
+        raise ValueError(f"{what} requires n >= 1, got {n}")
+    r = a % n
+    return r if math.gcd(r, n) == 1 else None
+
+
 def _reduced_coprime(a: int, n: int, what: str) -> int:
+    # Not built on _reduced_or_none: every order and lifting call comes
+    # through here, and a second call frame costs them a measurable share.
     if n < 1:
         raise ValueError(f"{what} requires n >= 1, got {n}")
     r = a % n
@@ -183,10 +195,8 @@ def alpha(a: int, n: int) -> int:
     Computed as order(a) / gcd(order(a), n): a**n generates the subgroup of
     index gcd(order(a), n) inside the cyclic group generated by a.
     """
-    if n < 1:
-        raise ValueError(f"alpha requires n >= 1, got {n}")
-    r = a % n
-    if math.gcd(r, n) != 1:
+    r = _reduced_or_none(a, n, "alpha")
+    if r is None:
         return 0
     d = _order_value(r, n)
     return d // math.gcd(d, n)
@@ -201,10 +211,8 @@ def beta(a: int, n: int) -> int:
     v2(n) < v2(d), so n/gcd(d, n) is odd and (a**n)**(h/2) =
     (a**(d/2))**(n/gcd(d, n)) = a**(d/2), as a**(d/2) squares to 1.
     """
-    if n < 1:
-        raise ValueError(f"beta requires n >= 1, got {n}")
-    r = a % n
-    if math.gcd(r, n) != 1:
+    r = _reduced_or_none(a, n, "beta")
+    if r is None:
         return 0
     d = _order_value(r, n)
     h = d // math.gcd(d, n)
@@ -216,19 +224,40 @@ def alpha_oracle(a: int, n: int) -> int:
 
     Shares no order-finding logic with ``alpha``; meant for tests and sweeps.
     """
-    if n < 1:
-        raise ValueError(f"alpha_oracle requires n >= 1, got {n}")
-    r = a % n
-    if math.gcd(r, n) != 1:
-        return 0
-    return _pykernels.order_scan(pow(r, n, n), n)
+    r = _reduced_or_none(a, n, "alpha_oracle")
+    return 0 if r is None else order_scan(pow(r, n, n), n)
 
 
 def beta_oracle(a: int, n: int) -> int:
     """beta recomputed the slow way: scan e = 1, 2, ... until (a**n)**e = +-1."""
-    if n < 1:
-        raise ValueError(f"beta_oracle requires n >= 1, got {n}")
-    r = a % n
-    if math.gcd(r, n) != 1:
-        return 0
-    return _pykernels.proj_order_scan(pow(r, n, n), n)
+    r = _reduced_or_none(a, n, "beta_oracle")
+    return 0 if r is None else proj_order_scan(pow(r, n, n), n)
+
+
+def order_scan(base: int, n: int) -> int:
+    """Smallest e >= 1 with base**e = 1 mod n, found by literal iteration."""
+    return _walk(base, n, 1)
+
+
+def proj_order_scan(base: int, n: int) -> int:
+    """Smallest e >= 1 with base**e = +-1 mod n, found by literal iteration."""
+    return _walk(base, n, n - 1 if n > 2 else 1)
+
+
+def _walk(base: int, n: int, stop: int) -> int:
+    """Smallest e >= 1 with base**e = 1 or stop mod n, by walking base,
+    base**2, ... mod n.
+
+    The caller guarantees gcd(base, n) = 1; the cap at n steps turns a
+    violated precondition into an error instead of a hang.
+    """
+    if n == 1:
+        return 1
+    b = base % n
+    x, e = b, 1
+    while x != 1 and x != stop:
+        x = x * b % n
+        e += 1
+        if e > n:
+            raise ValueError("iteration cap hit: base not coprime to modulus")
+    return e

@@ -11,7 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import ordlift
-from ordlift import _pykernels, lifting
+from ordlift import lifting, steinhaus
 from ordlift.cli import main
 from reference_grid import ALPHA_GRID
 
@@ -200,7 +200,7 @@ def test_steinhaus_triangle_huge_modulus_exits_1(monkeypatch):
     def no_tables(*args):
         raise AssertionError("row-class table built")
 
-    monkeypatch.setattr(_pykernels, "_row_class", no_tables)
+    monkeypatch.setattr(steinhaus, "_row_class", no_tables)
     for argv in (
         ("triangle", str(10**15), "1,2"),
         ("triangle", str(10**15 + 1), "1,2,3"),

@@ -1,6 +1,9 @@
-"""The pure-Python kernels, the only ones ordlift runs, and their compiled
-twins, which the benchmark's traced run compares them with, must agree with
-each other and with the literal triangle counts and search of ``oracles``.
+"""The pure-Python kernels, the only ones ordlift runs (the order scans in
+``orders``, the triangle counts and the search in ``steinhaus``), and their
+compiled twins, which the benchmark's traced run compares them with, must
+agree with each other and with the literal triangle counts and search of
+``oracles``.  ``_pykernels`` and ``_backend`` re-export the four for the
+benchmark's tracer, which needs them to be the very functions ordlift calls.
 
 The compiled twins are built from the shipped ``_kernels.c`` by
 ``perfbench/kernels.py``'s ``build``, the recipe the traced run uses, into a
@@ -19,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordlift import _pykernels, steinhaus
+from ordlift import _backend, _pykernels, orders, steinhaus
 from oracles import literal_search, literal_triangle_counts
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,8 +46,8 @@ def test_order_scans_agree_on_grid(compiled):
         for a in range(1, 40):
             if math.gcd(a, n) != 1:
                 continue
-            assert compiled.order_scan(a, n) == _pykernels.order_scan(a, n)
-            assert compiled.proj_order_scan(a, n) == _pykernels.proj_order_scan(a, n)
+            assert compiled.order_scan(a, n) == orders.order_scan(a, n)
+            assert compiled.proj_order_scan(a, n) == orders.proj_order_scan(a, n)
 
 
 @given(st.integers(1, 10**6), st.integers(-10**6, 10**6))
@@ -52,8 +55,8 @@ def test_order_scans_agree_on_grid(compiled):
 def test_order_scans_agree_random(compiled, n, a):
     if math.gcd(a, n) != 1:
         return
-    assert compiled.order_scan(a, n) == _pykernels.order_scan(a, n)
-    assert compiled.proj_order_scan(a, n) == _pykernels.proj_order_scan(a, n)
+    assert compiled.order_scan(a, n) == orders.order_scan(a, n)
+    assert compiled.proj_order_scan(a, n) == orders.proj_order_scan(a, n)
 
 
 def test_order_scan_against_phi_route(compiled):
@@ -73,19 +76,19 @@ def test_pure_scans_against_engine():
     for n in range(1, 300):
         for a in range(-25, 25):
             if math.gcd(a, n) == 1:
-                assert _pykernels.order_scan(a, n) == mult_order(a, n).order, (a, n)
-                assert _pykernels.proj_order_scan(a, n) == proj_order(a, n), (a, n)
+                assert orders.order_scan(a, n) == mult_order(a, n).order, (a, n)
+                assert orders.proj_order_scan(a, n) == proj_order(a, n), (a, n)
 
 
 def test_scan_caps_on_noncoprime_base(compiled):
     with pytest.raises(ValueError):
         compiled.order_scan(6, 10)
     with pytest.raises(ValueError):
-        _pykernels.order_scan(6, 10)
+        orders.order_scan(6, 10)
     with pytest.raises(ValueError):
         compiled.proj_order_scan(6, 10)
     with pytest.raises(ValueError):
-        _pykernels.proj_order_scan(6, 10)
+        orders.proj_order_scan(6, 10)
 
 
 # Moduli on both sides of each field width of the packed pure-Python rows.
@@ -152,7 +155,7 @@ def test_triangle_counts_agree(compiled):
     for seq, n in cases:
         expected = literal_triangle_counts(seq, n)
         assert compiled.triangle_counts(seq, n) == expected, (seq, n)
-        assert _pykernels.triangle_counts(seq, n) == expected, (seq, n)
+        assert steinhaus.triangle_counts(seq, n) == expected, (seq, n)
 
 
 def test_triangle_counts_agree_long_sequence(compiled):
@@ -162,7 +165,7 @@ def test_triangle_counts_agree_long_sequence(compiled):
         seq = [rng.randrange(n) for _ in range(400)]
         expected = literal_triangle_counts(seq, n)
         assert compiled.triangle_counts(seq, n) == expected, n
-        assert _pykernels.triangle_counts(seq, n) == expected, n
+        assert steinhaus.triangle_counts(seq, n) == expected, n
 
 
 def test_triangle_counts_memory_stays_linear():
@@ -171,7 +174,7 @@ def test_triangle_counts_memory_stays_linear():
     seq = [rng.randrange(35) for _ in range(3000)]
     tracemalloc.start()
     try:
-        counts = _pykernels.triangle_counts(seq, 35)
+        counts = steinhaus.triangle_counts(seq, 35)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -208,9 +211,9 @@ def test_closed_form_counts_match_row_by_row():
     assert any(n == 1 for *_, n in cases)
     for c, d, m, n in cases:
         k = min(order_of_two(n), m)
-        assert _pykernels._doubling_period(n, m) == k, (n, m)
+        assert steinhaus._doubling_period(n, m) == k, (n, m)
         counts = [0] * n
-        _pykernels._add_progression(counts, c, d, m, n, k)
+        steinhaus._add_progression(counts, c, d, m, n, k)
         expanded = [(c + j * d) % n for j in range(m)]
         assert counts == literal_triangle_counts(expanded, n), (c, d, m, n)
 
@@ -220,13 +223,13 @@ def test_search_counts_one_candidate_per_orbit(monkeypatch):
     # search counts calls // k candidates.  Orbits are enumerated by brute
     # force over all pairs with a unit step, under unit scaling and reversal.
     calls = [0]
-    add_row_class = _pykernels._add_row_class
+    add_row_class = steinhaus._add_row_class
 
     def counted(*args):
         calls[0] += 1
         return add_row_class(*args)
 
-    monkeypatch.setattr(_pykernels, "_add_row_class", counted)
+    monkeypatch.setattr(steinhaus, "_add_row_class", counted)
     cases = witnessed = candidates = 0
     for n in range(1, 22, 2):
         units = [u for u in range(n) if math.gcd(u, n) == 1]
@@ -241,8 +244,8 @@ def test_search_counts_one_candidate_per_orbit(monkeypatch):
                     orbit += [(u * c2 % n, u * d2 % n) for u in units]
                     least[c, d] = min(orbit)
             calls[0] = 0
-            found = _pykernels.search_balanced_ap(n, m)
-            k = _pykernels._doubling_period(n, m)
+            found = steinhaus.search_balanced_ap(n, m)
+            k = steinhaus._doubling_period(n, m)
             assert calls[0] % k == 0, (n, m)
             cases += 1
             candidates += calls[0] // k
@@ -255,22 +258,31 @@ def test_search_counts_one_candidate_per_orbit(monkeypatch):
     assert (cases, witnessed, candidates) == (51, 15, 301)
 
 
-def test_backend_search_is_the_pure_one(monkeypatch):
-    # steinhaus looks the kernel up on _pykernels at call time, so a
-    # replacement there (the benchmark's tracer makes one) is what runs.
+def test_tracer_names_are_the_functions_ordlift_calls(monkeypatch):
+    # The benchmark's tracer wraps _pykernels.<name> and _backend.<name> and
+    # swaps the wrapper in wherever that same object is referenced, so each
+    # must be the function orders or steinhaus calls, not a copy, and the
+    # callers must look it up in their module at call time.
+    homes = {"order_scan": orders, "proj_order_scan": orders,
+             "triangle_counts": steinhaus, "search_balanced_ap": steinhaus}
+    assert sorted(_pykernels.__all__) == sorted(homes)
     calls = []
-    monkeypatch.setattr(
-        _pykernels, "search_balanced_ap", lambda n, m: calls.append((n, m)) or (0, 1)
-    )
-    assert steinhaus.search_balanced_ap(9, 17) == (0, 1)
-    assert calls == [(9, 17)]
+    for name, home in homes.items():
+        fn = getattr(home, name)
+        assert getattr(_pykernels, name) is fn, name
+        assert getattr(_backend, name) is fn, name
+        recorded = lambda *a, fn=fn, name=name: calls.append(name) or fn(*a)  # noqa: E731
+        monkeypatch.setattr(home, name, recorded)
+    assert (orders.alpha_oracle(3, 10), orders.beta_oracle(3, 10)) == (2, 1)
+    assert steinhaus.triangle(steinhaus.ZnSequence(3, (1, 1))).counts == (0, 2, 1)
+    assert calls == ["order_scan", "proj_order_scan", "triangle_counts"]
 
 
 def test_scans_take_moduli_past_word_size():
     # the compiled twins stop at 64 bits; the scans ordlift runs do not
     n = (1 << 64) + 13
-    assert _pykernels.order_scan(n - 1, n) == 2  # (-1)**2 = 1
-    assert _pykernels.proj_order_scan(n - 1, n) == 1
+    assert orders.order_scan(n - 1, n) == 2  # (-1)**2 = 1
+    assert orders.proj_order_scan(n - 1, n) == 1
 
 
 def test_shipped_c_matches_pyx():

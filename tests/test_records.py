@@ -217,13 +217,15 @@ _KERNEL_CALLS = """(
 
 def test_import_loads_no_compiled_kernels(tmp_path):
     # A _kernels module that breaks on import: ordlift must load neither it
-    # nor the tracer's _backend shim, and must give the same answers as here.
+    # nor the tracer's two re-exports, _backend and _pykernels, and must give
+    # the same answers as here.
     shutil.copytree(Path(ordlift.__file__).parents[1], tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__", "*.so"))
     (tmp_path / "src" / "ordlift" / "_kernels.py").write_text(
         'raise RuntimeError("ordlift._kernels must not be imported")\n')
     code = (f"import sys, ordlift\nprint(repr({_KERNEL_CALLS}))\n"
-            "print(sorted({'ordlift._kernels', 'ordlift._backend'} & set(sys.modules)))")
+            "print(sorted({'ordlift._kernels', 'ordlift._backend', 'ordlift._pykernels'}"
+            " & set(sys.modules)))")
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path,
         env=dict(os.environ, PYTHONPATH=str(tmp_path / "src")), timeout=120,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordlift import _pykernels
+from ordlift import steinhaus
 from ordlift.steinhaus import (
     ZnSequence,
     ap_sequence,
@@ -79,7 +79,7 @@ def test_triangle_of_progression_mod_large_odd_n(monkeypatch):
     def no_tables(*args):
         raise AssertionError("row-class table built")
 
-    monkeypatch.setattr(_pykernels, "_row_class", no_tables)
+    monkeypatch.setattr(steinhaus, "_row_class", no_tables)
     seq = ap_sequence(1, 2, 5, 1_000_003)
     assert triangle(seq).counts == tuple(literal_triangle_counts(seq.elements, seq.modulus))
 
@@ -136,7 +136,7 @@ def test_triangle_counts_at_field_width_boundaries():
             else:
                 entries = [x for row in pairwise_rows(seq) for x in row]
             expected = Counter(entries)
-            assert _pykernels.triangle_counts(values, n) == [
+            assert steinhaus.triangle_counts(values, n) == [
                 expected.get(r, 0) for r in range(n)
             ], (n, m)
 
@@ -203,8 +203,8 @@ def test_modulus_too_large_to_count_is_value_error(monkeypatch):
     def not_reached(*args):
         raise AssertionError("counted past the size check")
 
-    monkeypatch.setattr(_pykernels, "_doubling_period", not_reached)
-    monkeypatch.setattr(_pykernels, "_row_class", not_reached)
+    monkeypatch.setattr(steinhaus, "_doubling_period", not_reached)
+    monkeypatch.setattr(steinhaus, "_row_class", not_reached)
     n = 10**20 + 1
     message = f"^modulus {n} is too large: the triangle keeps one count per residue$"
     with pytest.raises(ValueError, match=message):
@@ -240,7 +240,7 @@ def test_search_and_counts_past_the_row_period():
             if m % 5 == 0 or m % period in (0, 1, period - 1):
                 ap = ap_sequence(rng.randrange(n), rng.randrange(n), m, n).elements
                 want = literal_triangle_counts(ap, n)
-                assert _pykernels.triangle_counts(ap, n) == want, (ap[:2], m, n)
+                assert steinhaus.triangle_counts(ap, n) == want, (ap[:2], m, n)
 
 
 def test_oracles_import_nothing_from_ordlift():
