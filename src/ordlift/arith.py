@@ -4,6 +4,13 @@ Factorization, p-adic valuation, radical, gcd with the gcd(0, n) = n
 convention, modular exponentiation and Euler's totient.  Everything is pure
 and deterministic, operates on plain Python ints (so operands past 64 bits
 are fine), and factorization results are cached for the sweep-heavy callers.
+
+Factorization is trial division up to _TRIAL_LIMIT, then, for each cofactor
+that is neither prime nor a perfect power, a short run of Brent's Pollard rho
+and then Lenstra's elliptic-curve method (ECM) on Montgomery curves.  The two
+share one budget per split, spent in about a second; past it
+FactorizationBudgetError is raised.  The curves come in a fixed order, so a
+factorization always takes the same route.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import lru_cache
+from itertools import compress
 
 from ordlift.errors import FactorizationBudgetError
 
@@ -26,19 +34,26 @@ __all__ = [
     "valuation",
 ]
 
-# Trial division handles everything below this squared; Pollard rho takes over.
-# Chosen by a sweep over 2^8..2^16 (2-core x86-64 VM, Python 3.11, minimum of
-# nine interleaved runs): the cold wide-moduli benchmark pass took 65-80 ms
-# for every limit up to 2^13, then 78, 107 and 108 ms at 2^14..2^16; order_fast
-# on 200 random odd 64-bit n took 0.35-0.36 s at 2^8..2^10, 0.43-0.44 s at
-# 2^11..2^13, then 0.64, 0.75 and 1.1 s.  2^10 sits inside both flat ranges.
+# Trial division handles everything below this squared; Pollard rho and then
+# ECM take over.  Chosen by a sweep over 2^8..2^13 (2-core x86-64 VM, Python
+# 3.11, minimum of five interleaved runs): the cold wide-moduli benchmark pass
+# (mean over seeds 1-6) took 34-36 ms for every limit up to 2^12 and 37 ms at
+# 2^13; order_fast on 200 random odd 64-bit n took 0.18-0.20 s at 2^8..2^11,
+# then 0.21 and 0.25 s.  2^10 sits inside both flat ranges.
 _TRIAL_LIMIT = 1 << 10
 
-# Pollard rho steps (evaluations of y -> y*y + c, all restarts together)
-# allowed per split before FactorizationBudgetError.  The costliest split in
-# the benchmark's wide moduli, 474349721 * 6652754837 inside psi12 - 1, takes
-# 103,166 steps, 20x under this; a 60-bit prime factor would need about 2^31.
-_RHO_BUDGET = 1 << 21
+# Brent's rho steps (evaluations of y -> y*y + 1) per split before ECM takes
+# over.  Rho needs about sqrt(p) steps for a prime factor p, so it keeps the
+# factors up to about 20 bits, where it is cheaper than one ECM curve.
+_RHO_STEPS = 1 << 12
+
+# ECM levels (B1, curves): stage 1 multiplies by lcm(1..B1), stage 2 covers
+# one more prime up to _ECM_B2_RATIO * B1 by baby-step giant-step with
+# giant step _ECM_D.  These curves and the rho steps are the whole budget of
+# one split: past them FactorizationBudgetError is raised.
+_ECM_SCHEDULE = ((200, 8), (400, 12), (800, 16), (1600, 24), (3200, 16))
+_ECM_B2_RATIO = 50
+_ECM_D = 210
 
 # Miller-Rabin witnesses, the first twelve primes: deterministic for every
 # n < psi_12 = 318665857834031151167461 ~ 3.19e23 (Sorenson-Webster 2015).
@@ -115,43 +130,143 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """Nontrivial factor of an odd composite n, via Brent's cycle finding.
-
-    Deterministic restart sequence keeps factorizations reproducible.  Raises
-    FactorizationBudgetError rather than let the steps of all restarts
-    together pass _RHO_BUDGET.
-    """
-    c = 1
+    """A nontrivial factor of an odd composite n by Brent's rho with
+    y -> y*y + 1, or 1 if none shows within _RHO_STEPS steps."""
+    y, r, q = 2, 1, 1
+    g, x, ys = 1, 0, 0
     steps = 0
-    while True:
-        y, r, q = 2, 1, 1
-        g, x, ys = 1, 0, 0
+    while g == 1:
+        if steps + 2 * r > _RHO_STEPS:  # a round takes up to 2r steps
+            return 1
+        x = y
+        for _ in range(r):
+            y = (y * y + 1) % n
+        k = 0
+        while k < r and g == 1:
+            ys = y
+            for _ in range(min(128, r - k)):
+                y = (y * y + 1) % n
+                q = q * (x - y) % n
+            g = math.gcd(q, n)
+            k += 128
+        steps += r + min(k, r)
+        r <<= 1
+    if g == n:
+        g = 1
         while g == 1:
-            if steps + 2 * r > _RHO_BUDGET:  # a round takes up to 2r steps
-                raise FactorizationBudgetError(
-                    f"no factor of {n} within {_RHO_BUDGET} Pollard rho steps"
-                )
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += 128
-            steps += r + min(k, r)
-            r <<= 1
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-        c += 1
+            ys = (ys * ys + 1) % n
+            g = math.gcd(x - ys, n)
+    return 1 if g == n else g
+
+
+@lru_cache(maxsize=None)
+def _stage1_multiplier(b1: int) -> int:
+    """lcm(1..b1): every prime p <= b1 to the largest power <= b1."""
+    return math.lcm(*range(1, b1 + 1))
+
+
+@lru_cache(maxsize=None)
+def _stage2_plan(b1: int) -> tuple[tuple[int, ...], int, tuple[tuple[int, ...], ...]]:
+    """(babies, m0, rows) for the stage 2 of one B1 level.
+
+    Every prime q in (b1, b2] is m*D - b or m*D + b with b one of ``babies``,
+    the b < D/2 coprime to D.  rows[i] lists the indexes of the babies that
+    some such q pairs with m = m0 + i.  Needs b1 >= D/2, so that m >= 1.
+    """
+    b2 = _ECM_B2_RATIO * b1
+    babies = tuple(b for b in range(1, _ECM_D // 2, 2) if math.gcd(b, _ECM_D) == 1)
+    index = {b: j for j, b in enumerate(babies)}
+    m0 = (b1 + 1 + _ECM_D // 2) // _ECM_D
+    rows: list[set[int]] = [set() for _ in range(m0, (b2 + _ECM_D // 2) // _ECM_D + 1)]
+    sieve = bytearray([1]) * (b2 + 1)
+    for p in range(2, math.isqrt(b2) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, b2 + 1, p)))
+    for q in compress(range(b1 + 1, b2 + 1), sieve[b1 + 1 :]):
+        m = (q + _ECM_D // 2) // _ECM_D
+        rows[m - m0].add(index[abs(q - m * _ECM_D)])
+    return babies, m0, tuple(tuple(sorted(r)) for r in rows)
+
+
+def _ladder(k: int, x: int, z: int, a24: int, n: int) -> tuple[int, int, int, int]:
+    """[k]P and [k + 1]P, as (X, Z, X', Z'), for k >= 1 and P = (x : z) on the
+    Montgomery curve with (A + 2) / 4 = a24, by the x-only ladder."""
+    x1, z1 = x, z
+    s = (x + z) * (x + z) % n
+    d = (x - z) * (x - z) % n
+    t = s - d
+    x2, z2 = s * d % n, t * (d + a24 * t) % n
+    for bit in bin(k)[3:]:
+        u = (x1 - z1) * (x2 + z2)
+        v = (x1 + z1) * (x2 - z2)
+        xa, za = z * (u + v) ** 2 % n, x * (u - v) ** 2 % n
+        if bit == "1":
+            s = (x2 + z2) * (x2 + z2) % n
+            d = (x2 - z2) * (x2 - z2) % n
+            t = s - d
+            x1, z1, x2, z2 = xa, za, s * d % n, t * (d + a24 * t) % n
+        else:
+            s = (x1 + z1) * (x1 + z1) % n
+            d = (x1 - z1) * (x1 - z1) % n
+            t = s - d
+            x1, z1, x2, z2 = s * d % n, t * (d + a24 * t) % n, xa, za
+    return x1, z1, x2, z2
+
+
+def _ecm_curve(n: int, sigma: int, b1: int) -> int:
+    """gcd(n, ...) after both stages of ECM on Suyama's curve sigma: a
+    factor of n that may be 1 or n itself."""
+    u = (sigma * sigma - 5) % n
+    v = 4 * sigma % n
+    den = 16 * pow(u, 3, n) * v % n
+    g = math.gcd(den, n)
+    if g != 1:
+        return g
+    # (A + 2) / 4 = (v - u)**3 (3u + v) / (16 u**3 v), base point (u**3 : v**3).
+    a24 = pow(v - u, 3, n) * (3 * u + v) * pow(den, -1, n) % n
+    x = pow(u * pow(v, -1, n), 3, n)
+    x, z, _, _ = _ladder(_stage1_multiplier(b1), x, 1, a24, n)
+    g = math.gcd(z, n)
+    if g != 1:
+        return g
+    # Stage 2: if the order of Q = (x : z) mod a prime p of n is a prime
+    # q = m*D -+ b in (b1, b2], then [m*D]Q = +-[b]Q mod p, so their x
+    # coordinates agree and p divides X([m*D]Q) Z([b]Q) - X([b]Q) Z([m*D]Q).
+    babies, m0, rows = _stage2_plan(b1)
+    _, _, q2x, q2z = _ladder(1, x, z, a24, n)  # [2]Q
+    xs, zs = [], []  # [b]Q for each baby b
+    bx, bz, px, pz = x, z, x, z  # [b]Q and [b - 2]Q = -[1]Q for b = 1
+    for b in range(1, babies[-1] + 1, 2):
+        if math.gcd(b, _ECM_D) == 1:
+            xs.append(bx)
+            zs.append(bz)
+        u = (bx - bz) * (q2x + q2z)
+        w = (bx + bz) * (q2x - q2z)
+        px, pz, bx, bz = bx, bz, pz * (u + w) ** 2 % n, px * (u - w) ** 2 % n
+    dx, dz, _, _ = _ladder(_ECM_D, x, z, a24, n)
+    cx, cz, nx, nz = _ladder(m0, dx, dz, a24, n)  # [m*D]Q and [(m + 1)*D]Q
+    acc = 1
+    for row in rows:
+        for j in row:
+            acc = acc * (cx * zs[j] - xs[j] * cz) % n
+        u = (nx - nz) * (dx + dz)
+        w = (nx + nz) * (dx - dz)
+        cx, cz, nx, nz = nx, nz, cz * (u + w) ** 2 % n, cx * (u - w) ** 2 % n
+    return math.gcd(acc, n)
+
+
+def _ecm(n: int) -> int:
+    """A nontrivial factor of an odd composite n by Lenstra's elliptic-curve
+    method along _ECM_SCHEDULE, or 1 once the schedule is spent.  The curves
+    are sigma = 6, 7, ... in order, so every run finds the same factor."""
+    sigma = 6
+    for b1, curves in _ECM_SCHEDULE:
+        for _ in range(curves):
+            g = _ecm_curve(n, sigma, b1)
+            sigma += 1
+            if 1 < g < n:
+                return g
+    return 1
 
 
 def _iroot(n: int, k: int) -> int:
@@ -165,13 +280,16 @@ def _iroot(n: int, k: int) -> int:
 
 
 def _split(n: int, exps: dict[int, int], mult: int = 1) -> None:
-    """Recursively split a cofactor that survived trial division."""
+    """Recursively split a cofactor that survived trial division: primes are
+    recorded, perfect powers are rooted, and anything else is split by
+    _RHO_STEPS of Pollard rho, then by ECM along _ECM_SCHEDULE.  Raises
+    FactorizationBudgetError when both come back empty."""
     if is_prime(n):
         exps[n] = exps.get(n, 0) + mult
         return
-    # Rho needs about sqrt(p) steps to split p**k, so roots are taken first.
-    # Every prime of n exceeds _TRIAL_LIMIT = 2**t, so n = m**k has k <=
-    # (bits(n) - 1) / t.
+    # Rho and ECM work as hard on p**k as on p times another prime of p's
+    # size, so roots are taken first.  Every prime of n exceeds _TRIAL_LIMIT =
+    # 2**t, so n = m**k has k <= (bits(n) - 1) / t.
     t = _TRIAL_LIMIT.bit_length() - 1
     for k in range(2, (n.bit_length() - 1) // t + 1):
         root = _iroot(n, k)
@@ -179,6 +297,14 @@ def _split(n: int, exps: dict[int, int], mult: int = 1) -> None:
             _split(root, exps, mult * k)
             return
     d = _pollard_rho(n)
+    if d == 1:
+        d = _ecm(n)
+    if d == 1:
+        raise FactorizationBudgetError(
+            f"no factor of {n} within {_RHO_STEPS} Pollard rho steps and "
+            f"{sum(c for _, c in _ECM_SCHEDULE)} ECM curves up to B1 = "
+            f"{_ECM_SCHEDULE[-1][0]}"
+        )
     e = 0
     while n % d == 0:
         n //= d

@@ -7,8 +7,8 @@ inspection and balanced-progression search.
 Exit codes: 0 on success, 1 on domain errors (non-coprime arguments, even
 modulus for the search, a triangle or search modulus too large to keep one
 count per residue in memory, law violations) and arithmetic failures (a
-modulus Pollard rho cannot split within its budget, a factor that passed the
-primality test but is composite), 2 on usage errors.
+modulus Pollard rho and ECM cannot split within their budget, a factor that
+passed the primality test but is composite), 2 on usage errors.
 """
 
 from __future__ import annotations

@@ -24,4 +24,5 @@ class InvalidPairError(ValueError):
 
 
 class FactorizationBudgetError(ArithmeticError):
-    """Pollard rho used up its step budget without splitting a cofactor."""
+    """Pollard rho and ECM used up their shared budget without splitting a
+    cofactor."""

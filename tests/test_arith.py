@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -20,6 +21,9 @@ from ordlift.arith import (
     radical,
     valuation,
 )
+from ordlift.errors import FactorizationBudgetError
+from oracles import is_prime as oracle_is_prime
+from oracles import wide_products
 
 
 def naive_factor_list(n):
@@ -82,6 +86,61 @@ def test_factorize_beyond_trial_division():
     big = 1125899906842679  # nextprime(2**50)
     assert factorize(big**2).factors == ((big, 2),)
     assert factorize(big**3 * 1031**2).factors == ((1031, 2), (big, 3))
+
+
+def _product(factors):
+    return math.prod(p**k for p, k in factors.items())
+
+
+def test_factorize_wide_products():
+    # Products of up to 128 bits whose second-largest prime has at most 44
+    # bits.  The first is two primes of 36 bits or more, which the short rho
+    # run leaves to ECM.
+    cases = wide_products(2009, 12)
+    assert min(cases[0]).bit_length() >= 36 and len(cases[0]) == 2
+    assert arith._pollard_rho(_product(cases[0])) == 1
+    for factors in cases:
+        n = _product(factors)
+        f = factorize(n)
+        assert f.factors == tuple(sorted(factors.items()))
+        assert all(oracle_is_prime(p) for p, _ in f.factors)
+
+
+def test_ecm_stage_2_finds_what_stage_1_misses():
+    # 474349721 * 6652754837 is the split inside psi_12 - 1.  On sigma = 6 at
+    # B1 = 200, stage 1 alone finds nothing, and stage 2 finds 474349721.
+    n, sigma, b1 = 474349721 * 6652754837, 6, 200
+    u, v = sigma * sigma - 5, 4 * sigma
+    a24 = pow(v - u, 3, n) * (3 * u + v) * pow(16 * u**3 * v, -1, n) % n
+    x = u**3 * pow(v**3, -1, n) % n
+    _, z, _, _ = arith._ladder(arith._stage1_multiplier(b1), x, 1, a24, n)
+    assert math.gcd(z, n) == 1
+    assert arith._ecm_curve(n, sigma, b1) == 474349721
+
+
+def test_stage2_plan_pairs_exactly_the_primes_past_b1():
+    # Each listed (m, b) has m*D - b or m*D + b prime in (B1, B2], and every
+    # such prime is covered.
+    b1 = 200
+    b2, d = arith._ECM_B2_RATIO * b1, arith._ECM_D
+    babies, m0, rows = arith._stage2_plan(b1)
+    covered = set()
+    for i, row in enumerate(rows):
+        for j in row:
+            pair = {(m0 + i) * d - babies[j], (m0 + i) * d + babies[j]}
+            hits = {q for q in pair if b1 < q <= b2 and oracle_is_prime(q)}
+            assert hits
+            covered |= hits
+    assert covered == {q for q in range(b1 + 1, b2 + 1) if oracle_is_prime(q)}
+
+
+def test_budget_error_names_both_methods():
+    # nextprime(2**60) * nextprime(2**61) is past the budget of rho and ECM
+    # together.
+    t0 = time.perf_counter()
+    with pytest.raises(FactorizationBudgetError, match="Pollard rho .* ECM"):
+        factorize(2658455991569831839194255993715294703)
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_is_prime_small():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from ordlift.orders import (
     proj_order,
     remainder_gcd,
 )
+from oracles import wide_products
 
 # A strong pseudoprime to every base 2..37 (Sorenson-Webster 2015), so
 # is_prime accepts it: 399165290221 * 798330580441.
@@ -105,6 +107,27 @@ def test_random_products_factor_and_match_phi_reference():
             r = rng.randrange(1, n + 1) % n
             if math.gcd(r, n) == 1:
                 assert _order_value(r, n) == _order_phi(r, n)
+
+
+def test_wide_products_match_phi_reference():
+    # The factoring test's products of up to 128 bits, whose primes past the
+    # short rho run only ECM splits: engine and phi reference agree.
+    rng = random.Random(2009)
+    for factors in wide_products(2009, 12):
+        n = math.prod(p**k for p, k in factors.items())
+        for _ in range(2):
+            a = rng.randrange(2, n)
+            if math.gcd(a, n) == 1:
+                assert mult_order(a, n).order == _order_phi(a, n)
+
+
+def test_mult_order_past_the_rho_wall():
+    # nextprime(2**42) * nextprime(2**43): ECM splits it, well inside the
+    # budget.  p - 1 = 2*3*13*71*227*3498493 and q - 1 = 4*3*13*71*227*3498493,
+    # so the order of 2 is q - 1.
+    t0 = time.perf_counter()
+    assert mult_order(2, 38685626227927618334753203).order == 8796093022236
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_mult_order_rejects_noncoprime():
