@@ -10,7 +10,8 @@ release.
 The records (Factorization, OrderRecord, BasePair, LawResult,
 VerificationReport, ZnSequence, TriangleSummary) are named tuples: immutable,
 built by position or keyword, unpackable, and equal to a plain tuple of the
-same fields.  Functions that return one number build no record on the way.
+same fields.  BasePair and ZnSequence check their fields on every route to
+one.  Functions that return one number build no record on the way.
 """
 
 from ordlift import arith, errors, lifting, orders, steinhaus

@@ -13,12 +13,14 @@ alpha is d / gcd(d, n), and beta is alpha halved when (a**n)**(alpha/2) is
 Two independent routes stay for checking.  ``_order_phi`` strips the prime
 factors of phi(n) from phi(n); it is the reference ``verify_claims`` and the
 tests hold the engine to.  The *_oracle functions recompute alpha and beta
-by literal exponent iteration in ``order_scan`` and ``proj_order_scan``, one
-capped walk that is also the reference for the compiled twins in
-``_kernels.pyx``.  The engine and ``_order_phi`` test their congruence before
-stripping (r**(p - 1) = 1 mod p for each prime, r**phi(n) = 1 mod n), so a
-composite factor that passed the primality test raises ArithmeticError
-instead of giving a wrong order.
+by literal exponent iteration in ``order_scan`` and ``proj_order_scan``.
+Both are one capped walk, ``_walk``, of base, base**2, ... mod n up to the
+first +-1: ``proj_order_scan`` is its step count e, and ``order_scan`` is e,
+or 2e when the walk stopped at -1.  The walk is also the reference for the
+compiled twins in ``_kernels.pyx``, which walk to 1.  The engine and
+``_order_phi`` test their congruence before stripping (r**(p - 1) = 1 mod p
+for each prime, r**phi(n) = 1 mod n), so a composite factor that passed the
+primality test raises ArithmeticError instead of giving a wrong order.
 
 a**order(a) - 1 is a multiple of n that the lifting formulas consume, but it
 is never materialized: ``remainder_gcd`` extracts the needed gcd from a
@@ -35,7 +37,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from ordlift.arith import _factor_pairs
+from ordlift.arith import _CACHE_SIZE, _factor_pairs
 from ordlift.errors import InvalidPairError, NotCoprimeError
 
 __all__ = [
@@ -62,7 +64,7 @@ def _composite(p: int, n: int) -> ArithmeticError:
     )
 
 
-@lru_cache(maxsize=1 << 20)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _order_value(r: int, n: int) -> int:
     """Order of the reduced residue r mod n; caller guarantees gcd(r, n) = 1."""
     order = 1
@@ -87,7 +89,7 @@ def _order_value(r: int, n: int) -> int:
     return order
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _order_phi(r: int, n: int) -> int:
     """Order of r mod n by stripping prime factors from phi(n); the reference
     route, independent of the engine's lifting.  Caller guarantees
@@ -236,28 +238,31 @@ def beta_oracle(a: int, n: int) -> int:
 
 def order_scan(base: int, n: int) -> int:
     """Smallest e >= 1 with base**e = 1 mod n, found by literal iteration."""
-    return _walk(base, n, 1)
+    e, x = _walk(base, n)
+    # The walk stops at the first +-1, and base**e = -1 there means order
+    # 2e; +1 and -1 differ only for n > 2.
+    return e if x == 1 or n <= 2 else 2 * e
 
 
 def proj_order_scan(base: int, n: int) -> int:
     """Smallest e >= 1 with base**e = +-1 mod n, found by literal iteration."""
-    return _walk(base, n, n - 1 if n > 2 else 1)
+    return _walk(base, n)[0]
 
 
-def _walk(base: int, n: int, stop: int) -> int:
-    """Smallest e >= 1 with base**e = 1 or stop mod n, by walking base,
-    base**2, ... mod n.
+def _walk(base: int, n: int) -> tuple[int, int]:
+    """(e, base**e mod n) for the smallest e >= 1 with base**e = +-1 mod n,
+    by walking base, base**2, ... mod n.
 
     The caller guarantees gcd(base, n) = 1; the cap at n steps turns a
     violated precondition into an error instead of a hang.
     """
     if n == 1:
-        return 1
+        return 1, 0
     b = base % n
-    x, e = b, 1
-    while x != 1 and x != stop:
+    x, e, minus_one = b, 1, n - 1
+    while x != 1 and x != minus_one:
         x = x * b % n
         e += 1
         if e > n:
             raise ValueError("iteration cap hit: base not coprime to modulus")
-    return e
+    return e, x

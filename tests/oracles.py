@@ -52,7 +52,7 @@ def literal_search(n, m):
     )
 
 
-def _strong_probable_prime(n, a):
+def strong_probable_prime(n, a):
     """True iff odd n > 2 passes the strong (Miller-Rabin) test to base a."""
     d, s = n - 1, 0
     while d % 2 == 0:
@@ -80,7 +80,7 @@ def is_prime(n):
     if n >= PSI_13:
         rng = random.Random(n)
         bases += [rng.randrange(2, n - 1) for _ in range(32)]
-    return all(_strong_probable_prime(n, a) for a in bases)
+    return all(strong_probable_prime(n, a) for a in bases)
 
 
 def random_prime(rng, bits):

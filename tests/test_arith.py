@@ -23,6 +23,7 @@ from ordlift.arith import (
 )
 from ordlift.errors import FactorizationBudgetError
 from oracles import is_prime as oracle_is_prime
+from oracles import strong_probable_prime
 from oracles import wide_products
 
 
@@ -166,21 +167,6 @@ PSI = {
     12: 318665857834031151167461,
 }
 FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def strong_probable_prime(n, a):
-    """True iff odd n > 2 passes the strong (Miller-Rabin) test to base a."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    x = pow(a, d, n)
-    if x in (1, n - 1):
-        return True
-    for _ in range(s - 1):
-        x = x * x % n
-        if x == n - 1:
-            return True
-    return False
 
 
 def is_prime_12_bases(n):

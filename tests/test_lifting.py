@@ -63,6 +63,41 @@ def test_make_base_pair_rejections():
         make_base_pair(0, 1)
 
 
+# Pairs the formulas get wrong: lift_order on (24, 6) gives 4 for a = 7 and on
+# (63, 7) gives 27 for a = 2, where the true orders are 2 and 6.
+_BAD_PAIRS = {
+    (24, 6): InvalidPairError.REASON_TWO_ADIC,
+    (63, 7): InvalidPairError.REASON_RADICAL,
+}
+
+
+@pytest.mark.parametrize("n1, n2", sorted(_BAD_PAIRS))
+def test_base_pair_checks_itself(n1, n2):
+    reason = _BAD_PAIRS[n1, n2]
+    for case in TwoAdicCase:
+        for build in (
+            lambda: BasePair(n1, n2, case),
+            lambda: BasePair(n1=n1, n2=n2, two_adic_case=case),
+            lambda: BasePair(n1, n2),
+        ):
+            with pytest.raises(InvalidPairError) as e:
+                build()
+            assert e.value.reason == reason
+
+
+def test_base_pair_case_must_match_n1():
+    assert make_base_pair is BasePair
+    assert BasePair(24, 12, TwoAdicCase.LARGE) == make_base_pair(24, 12)
+    assert BasePair(9, 3, TwoAdicCase.SMALL) == make_base_pair(9, 3)
+    message = r"^pair \(24, 12\) is in case TwoAdicCase.LARGE, not TwoAdicCase.SMALL$"
+    with pytest.raises(ValueError, match=message):
+        BasePair(24, 12, TwoAdicCase.SMALL)
+    with pytest.raises(ValueError, match="is in case TwoAdicCase.SMALL"):
+        BasePair(9, 3, TwoAdicCase.LARGE)
+    with pytest.raises(ValueError, match="is in case TwoAdicCase.SMALL"):
+        BasePair(9, 3, "v2<=1")
+
+
 def test_valid_pairs_share_radical():
     for n1 in range(1, 400):
         for n2 in admissible_bases(n1):
@@ -411,7 +446,8 @@ def _off_at(name, hit, change):
 
 
 def _accept_every_pair(n1, n2):
-    return BasePair(n1, n2, TwoAdicCase.LARGE)
+    # tuple.__new__ skips BasePair's own checks.
+    return tuple.__new__(BasePair, (n1, n2, TwoAdicCase.LARGE))
 
 
 def _reject_for_wrong_reason(n1, n2):

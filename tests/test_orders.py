@@ -22,7 +22,7 @@ from ordlift.orders import (
     proj_order,
     remainder_gcd,
 )
-from oracles import wide_products
+from oracles import random_prime, wide_products
 
 # A strong pseudoprime to every base 2..37 (Sorenson-Webster 2015), so
 # is_prime accepts it: 399165290221 * 798330580441.
@@ -56,37 +56,6 @@ def test_pseudoprime_modulus_raises_instead_of_a_non_order():
     assert mult_order(3, PSI12).order == 199582645110
 
 
-def _is_prime_64(n):
-    """Miller-Rabin with the seven bases that are deterministic below 2**64."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in (2, 325, 9375, 28178, 450775, 9780504, 1795265022):
-        x = pow(a, d, n)
-        if x in (0, 1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _random_prime(rng, bits):
-    """A random odd prime of exactly ``bits`` >= 2 bits."""
-    while True:
-        p = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if _is_prime_64(p):
-            return p
-
-
 def test_random_products_factor_and_match_phi_reference():
     # Products of up to 64 bits of locally generated primes with exponents
     # up to 3: factorize must return exactly the generating primes, and the
@@ -96,7 +65,7 @@ def test_random_products_factor_and_match_phi_reference():
         factors = {}
         n = 1
         for _ in range(rng.randint(1, 4)):
-            p = _random_prime(rng, rng.randint(2, 34))
+            p = random_prime(rng, rng.randint(2, 34))
             k = rng.randint(1, 3)
             if p in factors or (n * p**k).bit_length() > 64:
                 continue
@@ -303,7 +272,7 @@ def _wide_modulus(rng):
     while True:
         n = 2 ** rng.randint(0, 6)
         while n.bit_length() < 64:
-            n *= _random_prime(rng, rng.randint(12, 24)) ** rng.randint(1, 3)
+            n *= random_prime(rng, rng.randint(12, 24)) ** rng.randint(1, 3)
         if n.bit_length() <= 100:
             return n
 

@@ -3,6 +3,7 @@ pickling, keyword construction; no throwaway records on the scalar paths;
 the package's public names; README's examples; and the modules ``import ordlift`` and
 ``import ordlift.cli`` may load."""
 
+import copy
 import doctest
 import math
 import os
@@ -127,6 +128,36 @@ def test_zn_sequence_replace_validates():
     assert seq._replace(elements=(4,)) == ZnSequence(7, (4,))
     with pytest.raises(ValueError, match=r"^element 9 not a residue mod 7$"):
         seq._replace(elements=(9,))
+
+
+@pytest.mark.parametrize("n1, n2, reason", [
+    (24, 6, ordlift.InvalidPairError.REASON_TWO_ADIC),
+    (63, 7, ordlift.InvalidPairError.REASON_RADICAL),
+])
+def test_base_pair_every_route_validates(n1, n2, reason):
+    # An unchecked tuple of the pair's fields, built past BasePair.__new__.
+    bad = tuple.__new__(ordlift.BasePair, (n1, n2, TwoAdicCase.SMALL))
+    valid = ordlift.make_base_pair(n1, n1)
+    routes = {
+        "_replace": lambda: valid._replace(n2=n2),
+        "_make": lambda: ordlift.BasePair._make((n1, n2, TwoAdicCase.SMALL)),
+        "pickle": lambda: pickle.loads(pickle.dumps(bad)),
+        "copy": lambda: copy.copy(bad),
+        "deepcopy": lambda: copy.deepcopy(bad),
+    }
+    for route, build in routes.items():
+        with pytest.raises(ordlift.InvalidPairError) as e:
+            build()
+        assert e.value.reason == reason, route
+
+
+def test_valid_base_pair_survives_every_route():
+    pair = ordlift.make_base_pair(24, 12)
+    assert pair._replace(n1=48) == ordlift.make_base_pair(48, 12)
+    assert ordlift.BasePair._make(pair) == pair
+    for back in (copy.copy(pair), copy.deepcopy(pair)):
+        assert back == pair and repr(back) == repr(pair)
+        assert type(back) is ordlift.BasePair
 
 
 def _no_record(*args, **kwargs):
