@@ -6,11 +6,12 @@ and deterministic, operates on plain Python ints (so operands past 64 bits
 are fine), and factorization results are cached for the sweep-heavy callers.
 
 Factorization is trial division up to _TRIAL_LIMIT, then, for each cofactor
-that is neither prime nor a perfect power, a short run of Brent's Pollard rho
-and then Lenstra's elliptic-curve method (ECM) on Montgomery curves.  The two
-share one budget per split, spent in about a second; past it
-FactorizationBudgetError is raised.  The curves come in a fixed order, so a
-factorization always takes the same route.
+that is neither prime nor a perfect power, Hart's one-line factoring at a few
+multipliers, a short run of Brent's Pollard rho and then Lenstra's
+elliptic-curve method (ECM) on Montgomery curves.  These share one budget per
+split, spent in about a second; past it FactorizationBudgetError is raised.
+The curves come in a fixed order, so a factorization always takes the same
+route.
 """
 
 from __future__ import annotations
@@ -42,6 +43,13 @@ __all__ = [
 # then 0.21 and 0.25 s.  2^10 sits inside both flat ranges.
 _TRIAL_LIMIT = 1 << 10
 
+# Multipliers i = 1.._HART_MULTIPLIERS of Hart's one-line factoring.  It
+# splits p*q at once when i*p*q is close to a square, as for psi_12 and
+# psi_13, both of the shape p*(2p - 1), at i = 8.  On a semiprime it does not
+# split it costs 11 us at 80 bits (x86-64, Python 3.11), against 10-22 ms for
+# ECM to split psi_12.
+_HART_MULTIPLIERS = 16
+
 # Brent's rho steps (evaluations of y -> y*y + 1) per split before ECM takes
 # over.  Rho needs about sqrt(p) steps for a prime factor p, so it keeps the
 # factors up to about 20 bits, where it is cheaper than one ECM curve.
@@ -63,16 +71,17 @@ _ECM_D = 210
 # this bound holds its peak RSS to 65 MB, against 203 MB under 2^20 entries.
 _CACHE_SIZE = 1 << 16
 
-# Miller-Rabin witnesses, the first twelve primes: deterministic for every
-# n < psi_12 = 318665857834031151167461 ~ 3.19e23 (Sorenson-Webster 2015).
-# psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to all twelve
-# and passes.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin witnesses, the first thirteen primes: deterministic for every
+# n < psi_13 = 3317044064679887385961981 ~ 3.32e24 (Sorenson-Webster 2015).
+# psi_13 = 1287836182261 * 2575672364521 is a strong pseudoprime to all
+# thirteen and passes.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 # (psi_k, k): every odd composite n < psi_k fails the strong test to one of
 # the first k witnesses, and psi_k itself, a composite, passes all k (OEIS
 # A014233; Jaeschke 1993, Jiang-Deng 2014).  psi_8 = psi_7 and psi_10 =
-# psi_11 = psi_9, so those counts never pay; from psi_9 on all twelve run.
+# psi_11 = psi_9, so those counts never pay; twelve run from psi_9 and all
+# thirteen from psi_12 on.
 _MR_BOUNDS = (
     (2047, 1),
     (1373653, 2),
@@ -82,6 +91,7 @@ _MR_BOUNDS = (
     (3474749660383, 6),
     (341550071728321, 7),
     (3825123056546413051, 9),
+    (318665857834031151167461, 12),
 )
 
 
@@ -105,11 +115,12 @@ class Factorization(namedtuple("Factorization", "value factors")):
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality test, deterministic below psi_12 ~ 3.19e23.
+    """Miller-Rabin primality test, deterministic below psi_13 ~ 3.32e24.
 
     The bases are the first k primes, k graded by the size of n: the fewest
     that are proven enough below the bounds psi_k of OEIS A014233
-    (``_MR_BOUNDS``), and all twelve from psi_9 ~ 3.8e18 on.
+    (``_MR_BOUNDS``), twelve from psi_9 ~ 3.8e18 and all thirteen from
+    psi_12 ~ 3.19e23 on.
     """
     if n < 2:
         return False
@@ -135,6 +146,22 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _hart(n: int) -> int:
+    """A nontrivial factor of an odd composite n that is no perfect power by
+    Hart's one-line factoring (J. Aust. Math. Soc. 92 (2012)), or 1 if none
+    shows at multipliers 1.._HART_MULTIPLIERS: s = ceil(sqrt(i*n)), and when
+    s*s mod n is a square t*t, n shares a factor with s - t."""
+    for i in range(1, _HART_MULTIPLIERS + 1):
+        s = math.isqrt(i * n - 1) + 1
+        m = s * s % n
+        t = math.isqrt(m)
+        if t * t == m:
+            g = math.gcd(s - t, n)
+            if 1 < g < n:
+                return g
+    return 1
 
 
 def _pollard_rho(n: int) -> int:
@@ -289,9 +316,10 @@ def _iroot(n: int, k: int) -> int:
 
 def _split(n: int, exps: dict[int, int], mult: int = 1) -> None:
     """Recursively split a cofactor that survived trial division: primes are
-    recorded, perfect powers are rooted, and anything else is split by
-    _RHO_STEPS of Pollard rho, then by ECM along _ECM_SCHEDULE.  Raises
-    FactorizationBudgetError when both come back empty."""
+    recorded, perfect powers are rooted, and anything else is split by Hart's
+    one-line factoring, then by _RHO_STEPS of Pollard rho, then by ECM along
+    _ECM_SCHEDULE.  Raises FactorizationBudgetError when all three come back
+    empty."""
     if is_prime(n):
         exps[n] = exps.get(n, 0) + mult
         return
@@ -304,12 +332,15 @@ def _split(n: int, exps: dict[int, int], mult: int = 1) -> None:
         if root**k == n:
             _split(root, exps, mult * k)
             return
-    d = _pollard_rho(n)
+    d = _hart(n)
+    if d == 1:
+        d = _pollard_rho(n)
     if d == 1:
         d = _ecm(n)
     if d == 1:
         raise FactorizationBudgetError(
-            f"no factor of {n} within {_RHO_STEPS} Pollard rho steps and "
+            f"no factor of {n} by Hart's one-line method at multipliers up to "
+            f"{_HART_MULTIPLIERS}, within {_RHO_STEPS} Pollard rho steps and "
             f"{sum(c for _, c in _ECM_SCHEDULE)} ECM curves up to B1 = "
             f"{_ECM_SCHEDULE[-1][0]}"
         )

@@ -9,21 +9,22 @@ factor of 2 breaks the formula: (n1, n2) = (24, 6) with a = 7 yields 4 from
 the raw formula while the true order is 2, which is why pair validation is
 an error and not a silent fallback.
 
-A ``BasePair`` checks these preconditions itself on every route to one
-(the constructor, ``_make`` and ``_replace``, pickling and ``copy``), the
-way ``ZnSequence`` checks its own, so no pair that breaks them reaches the
-formulas; ``make_base_pair`` is the type itself.  This module applies the
-transfer formulas and the prime-power shortcuts, and sweeps all of these
-laws in ``verify_claims`` against the phi-stripping reference and the scan
-oracles.  The laws are registered in one place, the ordered mapping
-``_LAWS`` from law name to a generator ``law(m)`` that yields one outcome
-per check at one modulus, so a new law is one more entry there.  ``m``
-holds what the laws at that modulus share, built once: its units, base
-pairs, and the engine's alpha and beta.  A law never reads from ``m`` the
-value it cross-checks; it calls that function itself.  The order engine in
-``orders`` applies the same lifting prime by prime, so the *_fast names are
-the engine's functions themselves; no BasePair is built on that path.
-Pairs, per-law results and sweep reports are named tuples.
+A ``BasePair`` is the two moduli (n1, n2); its ``two_adic_case`` depends on
+n1 alone and is derived from it.  It checks these preconditions itself on
+every route to one (the constructor, ``_make`` and ``_replace``, pickling
+and ``copy``), the way ``ZnSequence`` checks its own, so no pair that
+breaks them reaches the formulas; ``make_base_pair`` is the type itself.
+This module applies the transfer formulas and the prime-power shortcuts,
+and sweeps all of these laws in ``verify_claims`` against the phi-stripping
+reference and the scan oracles.  The laws are registered in one place, the
+ordered mapping ``_LAWS`` from law name to a generator ``law(m)`` that
+yields one outcome per check at one modulus, so a new law is one more entry
+there.  ``m`` holds what the laws at that modulus share, built once: its
+units, base pairs, and the engine's alpha and beta.  A law never reads from
+``m`` the value it cross-checks; it calls that function itself.  The order
+engine in ``orders`` applies the same lifting prime by prime, so the *_fast
+names are the engine's functions themselves; no BasePair is built on that
+path.  Pairs, per-law results and sweep reports are named tuples.
 """
 
 from __future__ import annotations
@@ -82,20 +83,19 @@ class TwoAdicCase(Enum):
     LARGE = "v2>=2"
 
 
-class BasePair(namedtuple("BasePair", "n1 n2 two_adic_case")):
-    """A modulus pair (n1, n2) valid for the lifting formulas, with the
-    TwoAdicCase it satisfies, derived from n1.
+class BasePair(namedtuple("BasePair", "n1 n2")):
+    """A modulus pair (n1, n2) valid for the lifting formulas.
 
     Checked on construction, by every route to a pair: n2 | n1, rad(n1) | n2,
     and 2*rad(n1) | n2 whenever 4 | n1.  A failed precondition raises
     InvalidPairError with a reason code naming it; the 2-adic condition is
-    not a formality, see the module docstring for the (24, 6) failure.  A
-    two_adic_case passed in must be the one n1 gives, else ValueError.
+    not a formality, see the module docstring for the (24, 6) failure.  The
+    TwoAdicCase the pair satisfies depends on n1 alone and is derived from it.
     """
 
     __slots__ = ()
 
-    def __new__(cls, n1: int, n2: int, two_adic_case: TwoAdicCase | None = None):
+    def __new__(cls, n1: int, n2: int):
         if n1 < 1 or n2 < 1:
             raise ValueError(f"moduli must be >= 1, got ({n1}, {n2})")
         if n1 % n2:
@@ -109,28 +109,22 @@ class BasePair(namedtuple("BasePair", "n1 n2 two_adic_case")):
                 f"invalid pair ({n1}, {n2}): radical {rad} does not divide {n2}",
                 InvalidPairError.REASON_RADICAL,
             )
-        # One enum member lookup per pair: each costs about 0.15 us on
-        # Python 3.11, and every lift in the desk-grid benchmark builds a pair.
-        if n1 % 4:
-            case = TwoAdicCase.SMALL
-        elif n2 % (2 * rad):
+        if n1 % 4 == 0 and n2 % (2 * rad):
             raise InvalidPairError(
                 f"invalid pair ({n1}, {n2}): 4 divides {n1} so n2 needs the factor "
                 f"2*rad = {2 * rad}",
                 InvalidPairError.REASON_TWO_ADIC,
             )
-        else:
-            case = TwoAdicCase.LARGE
-        if two_adic_case is not None and two_adic_case is not case:
-            raise ValueError(
-                f"pair ({n1}, {n2}) is in case {case}, not {two_adic_case}"
-            )
-        return tuple.__new__(cls, (n1, n2, case))
+        return tuple.__new__(cls, (n1, n2))
 
     @classmethod
     def _make(cls, iterable) -> "BasePair":
         # The inherited _make skips __new__; _replace goes through this too.
         return cls(*iterable)
+
+    @property
+    def two_adic_case(self) -> TwoAdicCase:
+        return TwoAdicCase.SMALL if self.n1 % 4 else TwoAdicCase.LARGE
 
 
 # Validate (n1, n2) for lifting and return the pair: the type is the check.

@@ -302,8 +302,9 @@ def search_balanced_ap(n: int, m: int):
     Odd n only: that is where balanced progressions are known to exist for
     lengths in the right congruence classes, and the scan is not meaningful
     outside it.  Admissible lengths outside those classes may legitimately
-    return None.  Raises ValueError, before any table is built, when n is
-    too large for one list of n counts.
+    return None.  At an admissible length, where n divides m(m+1)/2, it
+    raises ValueError before any table is built when n is too large for one
+    list of n counts; at any other length it returns None first.
 
     A step d that shares a factor g > 1 with n is skipped: mod g every
     entry (i, j) is 2^i c, so the entries miss the residues = 0 mod g when

@@ -136,12 +136,21 @@ def test_stage2_plan_pairs_exactly_the_primes_past_b1():
 
 
 def test_budget_error_names_both_methods():
-    # nextprime(2**60) * nextprime(2**61) is past the budget of rho and ECM
-    # together.
+    # The primes of 60 and 61 bits that random_prime draws from Random(1):
+    # past the budget of Hart's pass, rho and ECM together.
     t0 = time.perf_counter()
-    with pytest.raises(FactorizationBudgetError, match="Pollard rho .* ECM"):
-        factorize(2658455991569831839194255993715294703)
+    with pytest.raises(FactorizationBudgetError, match="Hart's .* Pollard rho .* ECM"):
+        factorize(1631903435575911832850657892379182733)
     assert time.perf_counter() - t0 < 5.0
+
+
+def test_hart_splits_psi12_and_psi13():
+    # Both are p * (2p - 1), so 8n + 1 is a square and multiplier 8 splits
+    # them.  psi_13 passes all thirteen bases, so _split never reaches the
+    # pass for it; called directly, the pass still splits it.
+    assert arith._hart(PSI[12]) in (399165290221, 798330580441)
+    assert arith._hart(PSI[13]) in (1287836182261, 2575672364521)
+    assert factorize(PSI[12]).factors == ((399165290221, 1), (798330580441, 1))
 
 
 def test_is_prime_small():
@@ -165,12 +174,13 @@ PSI = {
     10: 3825123056546413051,
     11: 3825123056546413051,
     12: 318665857834031151167461,
+    13: 3317044064679887385961981,
 }
-FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
-def is_prime_12_bases(n):
-    """Miller-Rabin with all twelve of the first primes as bases, always."""
+def is_prime_13_bases(n):
+    """Miller-Rabin with all thirteen of the first primes as bases, always."""
     if n < 2:
         return False
     for p in FIRST_PRIMES:
@@ -181,7 +191,7 @@ def is_prime_12_bases(n):
 
 def test_witness_bounds_are_a014233():
     # Every count skipped (8, 10, 11) has the same bound as the one below it.
-    assert arith._MR_BOUNDS == tuple((PSI[k], k) for k in (1, 2, 3, 4, 5, 6, 7, 9))
+    assert arith._MR_BOUNDS == tuple((PSI[k], k) for k in (1, 2, 3, 4, 5, 6, 7, 9, 12))
     assert arith._MR_WITNESSES == FIRST_PRIMES
     assert PSI[8] == PSI[7] and PSI[10] == PSI[11] == PSI[9]
 
@@ -196,16 +206,22 @@ def test_witness_bounds_are_tight():
 
 def test_is_prime_rejects_each_graded_bound():
     for k, psi in PSI.items():
-        # psi_12 passes all twelve bases: the known fault past the fixed bases.
-        assert is_prime(psi) == (k == 12), k
+        # psi_13 passes all thirteen bases: the known fault past the fixed
+        # bases.
+        assert is_prime(psi) == (k == 13), k
 
 
-def test_is_prime_graded_matches_twelve_bases():
+def test_is_prime_rejects_psi12():
+    # A strong pseudoprime to the twelve bases 2..37 that base 41 exposes.
+    assert is_prime(PSI[12]) is False
+
+
+def test_is_prime_graded_matches_thirteen_bases():
     windows = [n for psi in PSI.values() for n in range(psi - 50, psi + 51)]
     rng = random.Random(1993)
     odd = [rng.getrandbits(bits) | 1 | 1 << (bits - 1)
            for bits in range(2, 91) for _ in range(60)]
-    verdicts = {n: is_prime_12_bases(n) for n in windows + odd}
+    verdicts = {n: is_prime_13_bases(n) for n in windows + odd}
     assert 0 < sum(verdicts.values()) < len(verdicts)
     for n, want in verdicts.items():
         assert is_prime(n) == want, n

@@ -59,16 +59,29 @@ def test_eval_noncoprime_order_is_domain_error():
 
 
 def test_eval_arithmetic_failures_exit_1():
-    # nextprime(2**60) * nextprime(2**61): Pollard rho runs out of budget.
+    # The primes of 60 and 61 bits that random_prime draws from Random(1):
+    # Hart's pass, Pollard rho and ECM run out of budget.
     t0 = time.perf_counter()
-    code, out, err = run_cli("eval", "order", "2", "2658455991569831839194255993715294703")
+    code, out, err = run_cli("eval", "order", "2", "1631903435575911832850657892379182733")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "Pollard rho" in err
     assert time.perf_counter() - t0 < 5.0
-    # A strong pseudoprime to the bases 2..37 that base 41 exposes.
-    code, out, err = run_cli("eval", "order", "41", "318665857834031151167461")
+    # A strong pseudoprime to the bases 2..41 that base 43 exposes.
+    code, out, err = run_cli("eval", "order", "43", "3317044064679887385961981")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "not prime" in err
+
+
+def test_eval_order_past_psi12():
+    # p = 108 * psi_12 + 1 is prime, and p - 1 has the factor psi_12, which
+    # passes the twelve bases 2..37: the thirteenth base exposes it, so the
+    # true order is printed, not a multiple of it.
+    code, out, _ = run_cli(
+        "eval", "order", "20108120060913217696369370", "34415912646075364326085789"
+    )
+    assert code == 0 and out == "7184975223969\n"
+    code, out, _ = run_cli("eval", "order", "41", "318665857834031151167461")
+    assert code == 0 and out == "798330580440\n"
 
 
 def test_eval_usage_errors_exit_2():

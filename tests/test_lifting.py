@@ -74,28 +74,22 @@ _BAD_PAIRS = {
 @pytest.mark.parametrize("n1, n2", sorted(_BAD_PAIRS))
 def test_base_pair_checks_itself(n1, n2):
     reason = _BAD_PAIRS[n1, n2]
-    for case in TwoAdicCase:
-        for build in (
-            lambda: BasePair(n1, n2, case),
-            lambda: BasePair(n1=n1, n2=n2, two_adic_case=case),
-            lambda: BasePair(n1, n2),
-        ):
-            with pytest.raises(InvalidPairError) as e:
-                build()
-            assert e.value.reason == reason
+    for build in (lambda: BasePair(n1, n2), lambda: BasePair(n1=n1, n2=n2)):
+        with pytest.raises(InvalidPairError) as e:
+            build()
+        assert e.value.reason == reason
 
 
-def test_base_pair_case_must_match_n1():
+def test_base_pair_is_its_two_moduli():
     assert make_base_pair is BasePair
-    assert BasePair(24, 12, TwoAdicCase.LARGE) == make_base_pair(24, 12)
-    assert BasePair(9, 3, TwoAdicCase.SMALL) == make_base_pair(9, 3)
-    message = r"^pair \(24, 12\) is in case TwoAdicCase.LARGE, not TwoAdicCase.SMALL$"
-    with pytest.raises(ValueError, match=message):
-        BasePair(24, 12, TwoAdicCase.SMALL)
-    with pytest.raises(ValueError, match="is in case TwoAdicCase.SMALL"):
-        BasePair(9, 3, TwoAdicCase.LARGE)
-    with pytest.raises(ValueError, match="is in case TwoAdicCase.SMALL"):
-        BasePair(9, 3, "v2<=1")
+    with pytest.raises(TypeError):
+        BasePair(24, 12, TwoAdicCase.LARGE)
+    # The 2-adic case follows n1, so _replace never carries a stale one.
+    moved = make_base_pair(24, 12)._replace(n1=30, n2=30)
+    assert moved == make_base_pair(30, 30) and moved.two_adic_case is TwoAdicCase.SMALL
+    with pytest.raises(InvalidPairError) as e:
+        make_base_pair(30, 30)._replace(n1=60)
+    assert e.value.reason == InvalidPairError.REASON_TWO_ADIC
 
 
 def test_valid_pairs_share_radical():
@@ -447,7 +441,7 @@ def _off_at(name, hit, change):
 
 def _accept_every_pair(n1, n2):
     # tuple.__new__ skips BasePair's own checks.
-    return tuple.__new__(BasePair, (n1, n2, TwoAdicCase.LARGE))
+    return tuple.__new__(BasePair, (n1, n2))
 
 
 def _reject_for_wrong_reason(n1, n2):

@@ -24,9 +24,9 @@ from ordlift.orders import (
 )
 from oracles import random_prime, wide_products
 
-# A strong pseudoprime to every base 2..37 (Sorenson-Webster 2015), so
-# is_prime accepts it: 399165290221 * 798330580441.
-PSI12 = 318665857834031151167461
+# A strong pseudoprime to every base 2..41 (Sorenson-Webster 2015), so
+# is_prime accepts it: 1287836182261 * 2575672364521.
+PSI13 = 3317044064679887385961981
 
 coprime_pairs = st.tuples(st.integers(-200, 200), st.integers(1, 400)).filter(
     lambda t: math.gcd(t[0], t[1]) == 1
@@ -42,18 +42,18 @@ def test_mult_order_known_values():
 
 
 def test_pseudoprime_modulus_raises_instead_of_a_non_order():
-    # 41 is not a Fermat liar for PSI12, so the engine and the phi reference
+    # 43 is not a Fermat liar for PSI13, so the engine and the phi reference
     # both see that the "prime" is composite.
     for order_of in (_order_value, _order_phi):
-        with pytest.raises(ArithmeticError, match=str(PSI12)):
-            order_of(41, PSI12)
+        with pytest.raises(ArithmeticError, match=str(PSI13)):
+            order_of(43, PSI13)
     with pytest.raises(ArithmeticError):
-        mult_order(41, PSI12)
-    # 2 and 3 are liars: every order divides PSI12 - 1, so stripping its
-    # factors still finds the true order, lcm(ord mod 399165290221,
-    # ord mod 798330580441).
-    assert mult_order(2, PSI12).order == 133055096740
-    assert mult_order(3, PSI12).order == 199582645110
+        mult_order(43, PSI13)
+    # 2 and 3 are liars: every order divides PSI13 - 1, so stripping its
+    # factors still finds the true order, lcm(ord mod 1287836182261,
+    # ord mod 2575672364521).
+    assert mult_order(2, PSI13).order == 1287836182260
+    assert mult_order(3, PSI13).order == 321959045565
 
 
 def test_random_products_factor_and_match_phi_reference():

@@ -17,13 +17,11 @@ import pytest
 
 import ordlift
 from ordlift import arith, errors, lifting, orders, steinhaus
-from ordlift.lifting import TwoAdicCase
 from ordlift.steinhaus import ZnSequence
 
 _LAW = "LawResult(law='x', checked=3, failed=1, first_counterexample='n=1')"
 
-# (build the record, its keyword fields, its repr before the records became
-# named tuples)
+# (build the record, its keyword fields, its repr)
 RECORDS = {
     "Factorization": (
         lambda: ordlift.factorize(360),
@@ -37,8 +35,8 @@ RECORDS = {
     ),
     "BasePair": (
         lambda: ordlift.make_base_pair(24, 12),
-        dict(n1=24, n2=12, two_adic_case=TwoAdicCase.LARGE),
-        "BasePair(n1=24, n2=12, two_adic_case=<TwoAdicCase.LARGE: 'v2>=2'>)",
+        dict(n1=24, n2=12),
+        "BasePair(n1=24, n2=12)",
     ),
     "LawResult": (
         lambda: ordlift.LawResult("x", 3, 1, "n=1"),
@@ -136,11 +134,11 @@ def test_zn_sequence_replace_validates():
 ])
 def test_base_pair_every_route_validates(n1, n2, reason):
     # An unchecked tuple of the pair's fields, built past BasePair.__new__.
-    bad = tuple.__new__(ordlift.BasePair, (n1, n2, TwoAdicCase.SMALL))
+    bad = tuple.__new__(ordlift.BasePair, (n1, n2))
     valid = ordlift.make_base_pair(n1, n1)
     routes = {
         "_replace": lambda: valid._replace(n2=n2),
-        "_make": lambda: ordlift.BasePair._make((n1, n2, TwoAdicCase.SMALL)),
+        "_make": lambda: ordlift.BasePair._make((n1, n2)),
         "pickle": lambda: pickle.loads(pickle.dumps(bad)),
         "copy": lambda: copy.copy(bad),
         "deepcopy": lambda: copy.deepcopy(bad),
