@@ -150,7 +150,7 @@ def lift_order(pair: BasePair, a: int) -> int:
     """
     rg = remainder_gcd(a, pair.n2, pair.n1)
     # remainder_gcd has checked n2 | n1 and gcd(a, n1) = 1, so a is a unit mod n2.
-    return _order_value(a % pair.n2, pair.n2) * (pair.n1 // rg)
+    return _order_value(a % pair.n2, pair.n2)[0] * (pair.n1 // rg)
 
 
 def _lift_value(name: str, value, pair: BasePair, a: int) -> int:
@@ -182,7 +182,7 @@ proj_order_fast = proj_order
 def order_fast(a: int, n: int) -> int:
     """Multiplicative order of a mod n as an int (NotCoprimeError if not
     coprime); the order of ``mult_order`` without its record."""
-    return _order_value(_reduced_coprime(a, n, "multiplicative order"), n)
+    return _order_value(_reduced_coprime(a, n, "multiplicative order"), n)[0]
 
 
 def _residue_mod_prime(name: str, a: int, p: int, k: int) -> int:
@@ -197,7 +197,7 @@ def _residue_mod_prime(name: str, a: int, p: int, k: int) -> int:
 def alpha_prime_power(a: int, p: int, k: int) -> int:
     """alpha at p**k, which does not depend on k: the order of a mod p."""
     r = _residue_mod_prime("alpha_prime_power", a, p, k)
-    return _order_value(r, p) if r else 0
+    return _order_value(r, p)[0] if r else 0
 
 
 def beta_prime_power(a: int, p: int, k: int) -> int:

@@ -7,8 +7,11 @@ the order d mod p by stripping the factors of p - 1, lifts it to p**k with
 the paper's growth law d * p**max(0, k - k0), where p**k0 = gcd(r**d - 1,
 p**k), and takes the lcm over the prime powers.  For p = 2 and k >= 2 it
 starts from the order mod 4, the base modulus the lifting needs when 4 | n.
-alpha is d / gcd(d, n), and beta is alpha halved when (a**n)**(alpha/2) is
--1 mod n, which beta tests as a**(d/2) = -1, the test proj_order makes.
+The same pass gives the projective order, d or d/2, from the 2-adic
+valuations of the component orders, with no power mod n; proj_order is this
+second value.  alpha is d / gcd(d, n), and beta is alpha halved when
+(a**n)**(alpha/2) is -1 mod n; that power is a**(d/2), so beta halves when
+alpha is even and the engine's projective order is d/2.
 
 Two independent routes stay for checking.  ``_order_phi`` strips the prime
 factors of phi(n) from phi(n); it is the reference ``verify_claims`` and the
@@ -65,9 +68,18 @@ def _composite(p: int, n: int) -> ArithmeticError:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _order_value(r: int, n: int) -> int:
-    """Order of the reduced residue r mod n; caller guarantees gcd(r, n) = 1."""
-    order = 1
+def _order_value(r: int, n: int) -> tuple[int, int]:
+    """(order, projective order) of the reduced residue r mod n; caller
+    guarantees gcd(r, n) = 1.
+
+    With d the order and d_q the order mod each prime power q != 2 of n,
+    r**(d/2) = -1 mod n exactly when every d_q has the same 2-adic
+    valuation v2(d_q) = v2(d) >= 1 and, where q = 2**k with k >= 2, r = -1
+    mod q.  By the CRT that is -1 in every component: an odd q has one
+    element of order 2, and -1 is a power of r mod 2**k only when r is -1.
+    Then the projective order is d/2; otherwise it is d.
+    """
+    order, lows = 1, set()
     for p, k in _factor_pairs(n):
         if p == 2:
             if k == 1:
@@ -86,7 +98,9 @@ def _order_value(r: int, n: int) -> int:
             # gcd(r**d - 1, p**k) = p**min(k0, k), so this is p**max(0, k - k0).
             d *= pk // math.gcd(pow(r, d, pk) - 1, pk)
         order = math.lcm(order, d)
-    return order
+        # The lowest set bit of d is 2**v2(d); 0 marks a 2**k where r != -1.
+        lows.add(d & -d if p != 2 or r % pk == pk - 1 else 0)
+    return order, order // 2 if len(lows) == 1 and lows.pop() > 1 else order
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -144,7 +158,7 @@ def mult_order(a: int, n: int) -> OrderRecord:
     turns out composite.
     """
     r = _reduced_coprime(a, n, "multiplicative order")
-    return OrderRecord(n, r, _order_value(r, n))
+    return OrderRecord(n, r, _order_value(r, n)[0])
 
 
 def remainder_gcd(a: int, n2: int, n1: int) -> int:
@@ -165,7 +179,7 @@ def remainder_gcd(a: int, n2: int, n1: int) -> int:
             InvalidPairError.REASON_NOT_DIVISOR,
         )
     r = _reduced_coprime(a, n1, "remainder_gcd")
-    o2 = _order_value(a % n2, n2)
+    o2 = _order_value(a % n2, n2)[0]
     rg = math.gcd(pow(r, o2, n1) - 1, n1)
     if rg % n2:
         raise ArithmeticError(
@@ -174,21 +188,15 @@ def remainder_gcd(a: int, n2: int, n1: int) -> int:
     return rg
 
 
-def _minus_one_at_half(r: int, d: int, n: int) -> bool:
-    """True iff d, the order of r mod n, is even and r**(d/2) = -1 mod n,
-    with n > 2, where +1 and -1 differ."""
-    return n > 2 and d % 2 == 0 and pow(r, d // 2, n) == n - 1
-
-
 def proj_order(a: int, n: int) -> int:
     """Smallest e >= 1 with a**e = +-1 mod n, for a coprime to n.
 
     Equals the plain order d unless d is even and a**(d/2) = -1, in which
-    case it is d/2.  For n <= 2, where +1 and -1 coincide, it equals d.
+    case it is d/2.  For n <= 2, where +1 and -1 coincide, it equals d.  The
+    engine decides a**(d/2) = -1 from the component orders it has already
+    found, without a power mod n (see ``_order_value``).
     """
-    r = _reduced_coprime(a, n, "multiplicative order")
-    d = _order_value(r, n)
-    return d // 2 if _minus_one_at_half(r, d, n) else d
+    return _order_value(_reduced_coprime(a, n, "multiplicative order"), n)[1]
 
 
 def alpha(a: int, n: int) -> int:
@@ -200,7 +208,7 @@ def alpha(a: int, n: int) -> int:
     r = _reduced_or_none(a, n, "alpha")
     if r is None:
         return 0
-    d = _order_value(r, n)
+    d = _order_value(r, n)[0]
     return d // math.gcd(d, n)
 
 
@@ -208,17 +216,19 @@ def beta(a: int, n: int) -> int:
     """Projective order of a**n mod n when gcd(a, n) = 1, else 0.
 
     a**n has order h = alpha(a, n), so its projective order is h / 2 when h
-    is even and (a**n)**(h/2) = -1 mod n with n > 2, else h.  That power is
-    tested at exponent d/2, d the order of a: h = d/gcd(d, n) even gives
+    is even and (a**n)**(h/2) = -1 mod n with n > 2, else h.  That power
+    equals a**(d/2), d the order of a: h = d/gcd(d, n) even gives
     v2(n) < v2(d), so n/gcd(d, n) is odd and (a**n)**(h/2) =
-    (a**(d/2))**(n/gcd(d, n)) = a**(d/2), as a**(d/2) squares to 1.
+    (a**(d/2))**(n/gcd(d, n)) = a**(d/2), as a**(d/2) squares to 1.  So h
+    halves exactly when h is even and the engine's projective order of a is
+    d/2.
     """
     r = _reduced_or_none(a, n, "beta")
     if r is None:
         return 0
-    d = _order_value(r, n)
+    d, e = _order_value(r, n)
     h = d // math.gcd(d, n)
-    return h // 2 if h % 2 == 0 and _minus_one_at_half(r, d, n) else h
+    return h // 2 if h % 2 == 0 and e != d else h
 
 
 def alpha_oracle(a: int, n: int) -> int:

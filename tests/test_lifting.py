@@ -143,7 +143,7 @@ def test_lift_raises_on_a_wrong_order_at_the_base(monkeypatch):
     real = orders._order_value
 
     def wrong(r, n):
-        return 2 if (r, n) == (2, 5) else real(r, n)
+        return (2, 2) if (r, n) == (2, 5) else real(r, n)
 
     monkeypatch.setattr(orders, "_order_value", wrong)
     monkeypatch.setattr(lifting, "_order_value", wrong)

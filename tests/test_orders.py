@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from ordlift.arith import euler_phi, factorize
 from ordlift.errors import InvalidPairError, NotCoprimeError
-from ordlift.lifting import beta_fast, canonical_base, lift_beta, make_base_pair
+from ordlift.lifting import (
+    _beta_phi,
+    beta_fast,
+    canonical_base,
+    lift_beta,
+    make_base_pair,
+)
 from ordlift.orders import (
     _order_phi,
     _order_value,
@@ -19,7 +25,9 @@ from ordlift.orders import (
     beta,
     beta_oracle,
     mult_order,
+    order_scan,
     proj_order,
+    proj_order_scan,
     remainder_gcd,
 )
 from oracles import random_prime, wide_products
@@ -75,7 +83,7 @@ def test_random_products_factor_and_match_phi_reference():
         for _ in range(3):
             r = rng.randrange(1, n + 1) % n
             if math.gcd(r, n) == 1:
-                assert _order_value(r, n) == _order_phi(r, n)
+                assert _order_value(r, n)[0] == _order_phi(r, n)
 
 
 def test_wide_products_match_phi_reference():
@@ -192,6 +200,45 @@ def test_proj_order_matches_scan():
                 x = x * a % n
                 e += 1
             assert proj_order(a, n) == e
+
+
+def test_engine_gives_both_orders_of_every_unit():
+    # The engine's one pass against the two literal scans, at every unit.
+    for n in range(1, 1001):
+        for r in range(n):
+            if math.gcd(r, n) == 1:
+                assert _order_value(r, n) == (order_scan(r, n), proj_order_scan(r, n))
+
+
+def test_proj_order_two_adic_cases():
+    # Mod 8, 3 has order 2 but 3**1 != -1; only 7 = -1 halves.  Mod 24 the
+    # same holds with 5 (order 2, 5 = -3 mod 8) against 23 = -1.
+    assert proj_order(3, 8) == 2
+    assert proj_order(7, 8) == 1
+    assert proj_order(5, 24) == 2
+    assert proj_order(23, 24) == 1
+    # Where +1 and -1 coincide the projective order is the order.
+    for n in (1, 2):
+        assert proj_order(1, n) == mult_order(1, n).order == 1
+
+
+def test_beta_and_proj_order_wide_moduli():
+    # Past the scans' reach: beta equals the phi-stripping route, and
+    # proj_order halves exactly when a**(d/2) = -1 mod n, tested here by the
+    # power the engine no longer takes.  -1 always halves.
+    rng = random.Random(2009)
+    halved = 0
+    for factors in wide_products(2009, 12):
+        n = math.prod(p**k for p, k in factors.items())
+        for a in [n - 1] + [rng.randrange(2, n) for _ in range(20)]:
+            if math.gcd(a, n) != 1:
+                continue
+            assert beta(a, n) == _beta_phi(a, n), (a, n)
+            d = mult_order(a, n).order
+            halves = d % 2 == 0 and pow(a, d // 2, n) == n - 1
+            assert proj_order(a, n) == (d // 2 if halves else d), (a, n)
+            halved += halves
+    assert halved > 12
 
 
 def test_alpha_known_values():
