@@ -9,9 +9,9 @@ Factorization is trial division up to _TRIAL_LIMIT, then, for each cofactor
 that is neither prime nor a perfect power, Hart's one-line factoring at a few
 multipliers, a short run of Brent's Pollard rho and then Lenstra's
 elliptic-curve method (ECM) on Montgomery curves.  These share one budget per
-split, spent in about a second; past it FactorizationBudgetError is raised.
-The curves come in a fixed order, so a factorization always takes the same
-route.
+split, a fixed count of steps and curves, so the time it takes grows with the
+cofactor; past it FactorizationBudgetError is raised.  The curves come in a
+fixed order, so a factorization always takes the same route.
 """
 
 from __future__ import annotations
@@ -35,12 +35,14 @@ __all__ = [
     "valuation",
 ]
 
-# Trial division handles everything below this squared; Pollard rho and then
-# ECM take over.  Chosen by a sweep over 2^8..2^13 (2-core x86-64 VM, Python
-# 3.11, minimum of five interleaved runs): the cold wide-moduli benchmark pass
-# (mean over seeds 1-6) took 34-36 ms for every limit up to 2^12 and 37 ms at
-# 2^13; order_fast on 200 random odd 64-bit n took 0.18-0.20 s at 2^8..2^11,
-# then 0.21 and 0.25 s.  2^10 sits inside both flat ranges.
+# Trial division by the primes below this handles everything below its
+# square; Pollard rho and then ECM take over.  Chosen by a sweep over
+# 2^8..2^13 (2-core x86-64 VM, Python 3.11, minimum of five interleaved
+# runs), made when trial division still stepped a 6k +- 1 wheel: the cold
+# wide-moduli benchmark pass (mean over seeds 1-6) took 34-36 ms for every
+# limit up to 2^12 and 37 ms at 2^13; order_fast on 200 random odd 64-bit n
+# took 0.18-0.20 s at 2^8..2^11, then 0.21 and 0.25 s.  2^10 sits inside
+# both flat ranges.
 _TRIAL_LIMIT = 1 << 10
 
 # Multipliers i = 1.._HART_MULTIPLIERS of Hart's one-line factoring.  It
@@ -194,6 +196,21 @@ def _pollard_rho(n: int) -> int:
     return 1 if g == n else g
 
 
+def _sieve(limit: int) -> bytearray:
+    """Flags of 0..limit, for limit >= 1, by the sieve of Eratosthenes:
+    sieve[q] is 1 exactly when q is prime."""
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return sieve
+
+
+# The primes below _TRIAL_LIMIT, in order: the trial divisors of _factor_pairs.
+_TRIAL_PRIMES = tuple(compress(range(_TRIAL_LIMIT), _sieve(_TRIAL_LIMIT - 1)))
+
+
 @lru_cache(maxsize=None)
 def _stage1_multiplier(b1: int) -> int:
     """lcm(1..b1): every prime p <= b1 to the largest power <= b1."""
@@ -213,11 +230,7 @@ def _stage2_plan(b1: int) -> tuple[tuple[int, ...], int, tuple[tuple[int, ...], 
     index = {b: j for j, b in enumerate(babies)}
     m0 = (b1 + 1 + _ECM_D // 2) // _ECM_D
     rows: list[set[int]] = [set() for _ in range(m0, (b2 + _ECM_D // 2) // _ECM_D + 1)]
-    sieve = bytearray([1]) * (b2 + 1)
-    for p in range(2, math.isqrt(b2) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, b2 + 1, p)))
-    for q in compress(range(b1 + 1, b2 + 1), sieve[b1 + 1 :]):
+    for q in compress(range(b1 + 1, b2 + 1), _sieve(b2)[b1 + 1 :]):
         m = (q + _ECM_D // 2) // _ECM_D
         rows[m - m0].add(index[abs(q - m * _ECM_D)])
     return babies, m0, tuple(tuple(sorted(r)) for r in rows)
@@ -359,25 +372,17 @@ def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     exps: dict[int, int] = {}
-    for p in (2, 3):
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
         e = 0
         while n % p == 0:
             n //= p
             e += 1
         if e:
             exps[p] = e
-    p = 5
-    step = 2
-    while p <= _TRIAL_LIMIT and p * p <= n:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e:
-            exps[p] = e
-        p += step
-        step = 6 - step
     if n > 1:
+        # No prime below p divides n, so n < p**2 is prime.
         if p * p > n:
             exps[n] = 1
         else:

@@ -6,9 +6,10 @@ inspection and balanced-progression search.
 
 Exit codes: 0 on success, 1 on domain errors (non-coprime arguments, even
 modulus for the search, a triangle or search modulus too large to keep one
-count per residue in memory, law violations) and arithmetic failures (a
-modulus Pollard rho and ECM cannot split within their budget, a factor that
-passed the primality test but is composite), 2 on usage errors.
+count per residue in memory, a search whose row-class tables would not fit,
+law violations) and arithmetic failures (a modulus Hart's one-line
+factoring, Pollard rho and ECM cannot split within their budget, a factor
+that passed the primality test but is composite), 2 on usage errors.
 """
 
 from __future__ import annotations

@@ -24,5 +24,5 @@ class InvalidPairError(ValueError):
 
 
 class FactorizationBudgetError(ArithmeticError):
-    """Pollard rho and ECM used up their shared budget without splitting a
-    cofactor."""
+    """Hart's one-line factoring, Pollard rho and ECM used up their shared
+    budget without splitting a cofactor."""

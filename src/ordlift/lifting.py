@@ -185,25 +185,25 @@ def order_fast(a: int, n: int) -> int:
     return _order_value(_reduced_coprime(a, n, "multiplicative order"), n)[0]
 
 
-def _residue_mod_prime(name: str, a: int, p: int, k: int) -> int:
-    """a mod p, after the argument checks the prime-power shortcuts share."""
+def _check_prime_power(name: str, p: int, k: int) -> None:
+    """The argument checks the prime-power shortcuts share."""
     if not is_prime(p):
         raise ValueError(f"{name} requires a prime p, got {p}")
     if k < 1:
         raise ValueError(f"{name} requires k >= 1, got {k}")
-    return a % p
 
 
 def alpha_prime_power(a: int, p: int, k: int) -> int:
-    """alpha at p**k, which does not depend on k: the order of a mod p."""
-    r = _residue_mod_prime("alpha_prime_power", a, p, k)
-    return _order_value(r, p)[0] if r else 0
+    """alpha at p**k, which does not depend on k: alpha at p, the order of
+    a mod p."""
+    _check_prime_power("alpha_prime_power", p, k)
+    return alpha(a, p)
 
 
 def beta_prime_power(a: int, p: int, k: int) -> int:
     """beta at p**k, which does not depend on k: beta at p."""
-    r = _residue_mod_prime("beta_prime_power", a, p, k)
-    return beta(a, p) if r else 0
+    _check_prime_power("beta_prime_power", p, k)
+    return beta(a, p)
 
 
 # --- verification sweep -----------------------------------------------------

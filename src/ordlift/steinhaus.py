@@ -11,12 +11,15 @@ Entry j of row i of the triangle of the progression (c, d) is
 2^i (c + y d) mod n with y = i/2 + j, which depends on y only mod
 N = n/gcd(d, n).  So the rows whose i agree mod k = min(ord_n(2), m) share
 the factor 2^i, and their entries, counted over y in Z/N, form one table per
-class that does not depend on c or d.  Building the tables takes O(k N)
-steps at any m, and they give a progression's counts in O(m + k N) steps
-instead of m(m+1)/2.  ``triangle_counts`` counts a progression this way when
-that costs fewer steps than the triangle has entries, and otherwise steps
-whole rows packed into one int.  ``search_balanced_ap`` builds the tables
-once per call; its docstring says which pairs it counts.
+class that does not depend on c or d.  ord_n(2) comes from the order engine
+``orders._order_value``, as every other order in ordlift does.  Building the
+tables takes O(k N) steps at any m, and they give a progression's counts in
+O(m + k N) steps instead of m(m+1)/2.  ``triangle_counts`` counts a
+progression this way when that costs fewer steps than the triangle has
+entries, and otherwise steps whole rows packed into one int.
+``search_balanced_ap`` builds the tables once per call, and refuses a call
+whose k tables of n counts would not fit in memory; its docstring says which
+pairs it counts.
 
 The tests check these two, and their compiled twins in ``_kernels.pyx``,
 against the literal row-by-row loop and the literal scan of all n**2
@@ -31,6 +34,8 @@ from collections import namedtuple
 from itertools import accumulate
 from math import gcd
 from struct import pack
+
+from ordlift.orders import _order_value
 
 __all__ = [
     "TriangleSummary",
@@ -50,6 +55,12 @@ _CHUNK_BYTES = 1 << 16
 # residue beats a Python loop over the chunk: about 0.5n + 17 ns per entry
 # plus 0.1-0.2 us per call, against 30-55 ns per entry.
 _COUNT_BY_RESIDUE_MAX_N = 40
+# Most row-class table entries, k * n, one search keeps.  Each entry is a
+# list slot of 8 bytes, plus a 28-byte int once its count passes 256, so
+# this bound holds the tables to 134-600 MB; building 2^24 entries took
+# 0.8 s (x86-64, Python 3.11).  The benchmark's searches keep at most 500
+# entries and a census of every odd n <= 201 at most 40,200.
+_MAX_TABLE_ENTRIES = 1 << 24
 
 
 class ZnSequence(namedtuple("ZnSequence", "modulus elements")):
@@ -161,7 +172,7 @@ def triangle_counts(elements, n: int) -> list[int]:
     ap = _progression(residues, n) if n % 2 and m else None
     if ap is not None:
         c, d = ap
-        k = _doubling_period(n, m)
+        k = min(_order_value(2 % n, n)[0], m)
         if m + k * (n // gcd(d, n)) <= m * (m + 1) // 2:
             _add_progression(counts, c, d, m, n, k)
             return counts
@@ -212,17 +223,6 @@ def _progression(residues: list[int], n: int):
     if any(r != (c + j * d) % n for j, r in enumerate(residues)):
         return None
     return c, d
-
-
-def _doubling_period(n: int, m: int) -> int:
-    """min(ord_n(2), m) for odd n, found with at most m doublings."""
-    one = 1 % n
-    x = 2 % n
-    for k in range(1, m):
-        if x == one:
-            return k
-        x = 2 * x % n
-    return m
 
 
 def _row_class(a: int, k: int, m: int, big_n: int) -> list[int]:
@@ -304,7 +304,8 @@ def search_balanced_ap(n: int, m: int):
     outside it.  Admissible lengths outside those classes may legitimately
     return None.  At an admissible length, where n divides m(m+1)/2, it
     raises ValueError before any table is built when n is too large for one
-    list of n counts; at any other length it returns None first.
+    list of n counts, or when the k tables of n counts would hold more than
+    _MAX_TABLE_ENTRIES; at any other length it returns None first.
 
     A step d that shares a factor g > 1 with n is skipped: mod g every
     entry (i, j) is 2^i c, so the entries miss the residues = 0 mod g when
@@ -328,7 +329,12 @@ def search_balanced_ap(n: int, m: int):
         return None
     target = total // n
     counts = _zero_counts(n)  # first, so a modulus too large fails at once
-    k = _doubling_period(n, m)
+    k = min(_order_value(2 % n, n)[0], m)
+    if k * n > _MAX_TABLE_ENTRIES:
+        raise ValueError(
+            f"modulus {n} is too large: a length-{m} search keeps {k} row-class "
+            f"tables of {n} counts"
+        )
     classes = list(_row_classes(k, m, n, n))
     seen = set()
     for c in range(n):

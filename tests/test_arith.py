@@ -135,6 +135,32 @@ def test_stage2_plan_pairs_exactly_the_primes_past_b1():
     assert covered == {q for q in range(b1 + 1, b2 + 1) if oracle_is_prime(q)}
 
 
+def test_sieve_flags_exactly_the_primes():
+    assert list(arith._sieve(1)) == [0, 0]
+    sieve = arith._sieve(20000)
+    assert [q for q in range(20001) if sieve[q]] == [
+        q for q in range(20001) if oracle_is_prime(q)
+    ]
+
+
+def test_trial_primes_are_the_primes_below_the_limit():
+    assert arith._TRIAL_LIMIT == 1 << 10
+    assert arith._TRIAL_PRIMES == tuple(
+        q for q in range(1 << 10) if oracle_is_prime(q)
+    )
+    assert len(arith._TRIAL_PRIMES) == 172
+
+
+def test_factorize_at_the_end_of_the_prime_table():
+    # 1021 is the last trial prime and 1031 the next prime.  The last four
+    # cases leave a cofactor of at least 1021**2 once the table is spent.
+    past_the_table = next(q for q in range(1021**2, 1025**2) if oracle_is_prime(q))
+    for n in (1021, 1031, 1021**2, 1021 * 1031, 1031**2, past_the_table):
+        arith._factor_pairs.cache_clear()
+        listed = [p for p, e in factorize(n).factors for _ in range(e)]
+        assert listed == naive_factor_list(n), n
+
+
 def test_budget_error_names_both_methods():
     # The primes of 60 and 61 bits that random_prime draws from Random(1):
     # past the budget of Hart's pass, rho and ECM together.

@@ -103,6 +103,11 @@ def order_of_two(n):
     return k
 
 
+def test_engine_order_of_two_matches_doubling():
+    for n in range(1, 3002, 2):
+        assert steinhaus._order_value(2 % n, n)[0] == order_of_two(n), n
+
+
 def takes_row_classes(d, m, n):
     """True iff triangle_counts counts the progression with step d by row
     classes: n odd and m + min(ord_n(2), m) * n/gcd(d, n) <= m(m+1)/2."""
@@ -211,7 +216,7 @@ def test_closed_form_counts_match_row_by_row():
     assert any(n == 1 for *_, n in cases)
     for c, d, m, n in cases:
         k = min(order_of_two(n), m)
-        assert steinhaus._doubling_period(n, m) == k, (n, m)
+        assert min(steinhaus._order_value(2 % n, n)[0], m) == k, (n, m)
         counts = [0] * n
         steinhaus._add_progression(counts, c, d, m, n, k)
         expanded = [(c + j * d) % n for j in range(m)]
@@ -245,7 +250,7 @@ def test_search_counts_one_candidate_per_orbit(monkeypatch):
                     least[c, d] = min(orbit)
             calls[0] = 0
             found = steinhaus.search_balanced_ap(n, m)
-            k = steinhaus._doubling_period(n, m)
+            k = min(order_of_two(n), m)
             assert calls[0] % k == 0, (n, m)
             cases += 1
             candidates += calls[0] // k

@@ -3,6 +3,7 @@
 import ast
 import math
 import random
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -203,7 +204,7 @@ def test_modulus_too_large_to_count_is_value_error(monkeypatch):
     def not_reached(*args):
         raise AssertionError("counted past the size check")
 
-    monkeypatch.setattr(steinhaus, "_doubling_period", not_reached)
+    monkeypatch.setattr(steinhaus, "_order_value", not_reached)
     monkeypatch.setattr(steinhaus, "_row_class", not_reached)
     n = 10**20 + 1
     message = f"^modulus {n} is too large: the triangle keeps one count per residue$"
@@ -211,6 +212,25 @@ def test_modulus_too_large_to_count_is_value_error(monkeypatch):
         triangle(ZnSequence(n, (1, 2, 3)))
     with pytest.raises(ValueError, match=message):
         search_balanced_ap(n, n - 1)
+
+
+def test_search_too_many_tables_is_value_error(monkeypatch):
+    # ord(2) mod the prime 1000003 is 1000002, so the search would keep
+    # 1000002 tables of 1000003 counts: refused before any table is built.
+    def not_reached(*args):
+        raise AssertionError("row-class table built")
+
+    monkeypatch.setattr(steinhaus, "_row_class", not_reached)
+    n, m = 1_000_003, 1_000_002
+    assert length_admissible(m, n)
+    message = (
+        f"^modulus {n} is too large: a length-{m} search keeps {m} row-class "
+        f"tables of {n} counts$"
+    )
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        search_balanced_ap(n, m)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_search_returns_lexicographically_first():
