@@ -7,9 +7,10 @@ are fine), and factorization results are cached for the sweep-heavy callers.
 
 Factorization is trial division up to _TRIAL_LIMIT, then, for each cofactor
 that is neither prime nor a perfect power, Hart's one-line factoring at a few
-multipliers, a short run of Brent's Pollard rho and then Lenstra's
-elliptic-curve method (ECM) on Montgomery curves.  These share one budget per
-split, a fixed count of steps and curves, so the time it takes grows with the
+multipliers, one walk of Brent's Pollard rho that goes on past each factor
+it splits off, and then Lenstra's elliptic-curve method (ECM) on Montgomery
+curves for what the walk leaves.  These share one budget per cofactor, a
+fixed count of steps and curves, so the time it takes grows with the
 cofactor; past it FactorizationBudgetError is raised.  The curves come in a
 fixed order, so a factorization always takes the same route.
 """
@@ -52,10 +53,16 @@ _TRIAL_LIMIT = 1 << 10
 # ECM to split psi_12.
 _HART_MULTIPLIERS = 16
 
-# Brent's rho steps (evaluations of y -> y*y + 1) per split before ECM takes
-# over.  Rho needs about sqrt(p) steps for a prime factor p, so it keeps the
-# factors up to about 20 bits, where it is cheaper than one ECM curve.
-_RHO_STEPS = 1 << 12
+# Brent's rho steps (evaluations of y -> y*y + 1) per walk before ECM takes
+# the cofactor left.  Rho needs about sqrt(p) steps for a prime factor p.
+# Chosen by a sweep over 2^12..2^16 with the walk continued past each split
+# (2-core x86-64 VM, Python 3.11): the cold wide-moduli benchmark pass (mean
+# over seeds 1-10, median of eight interleaved rounds) took 26.2 ms at 2^12,
+# 23.0 ms at 2^13 and 21.7-22.1 ms from 2^14 on; p*q with p of 28 to 34 bits
+# and q of 60 bits (24 of each size), which ECM mostly splits, took a mean of
+# 4.9-24.1 ms at 2^12, 6.9-28.2 ms at 2^14 and 12.2-46.4 ms at 2^16.  2^14
+# is the first cap on the flat range.
+_RHO_STEPS = 1 << 14
 
 # ECM levels (B1, curves): stage 1 multiplies by lcm(1..B1), stage 2 covers
 # one more prime up to _ECM_B2_RATIO * B1 by baby-step giant-step with
@@ -166,34 +173,49 @@ def _hart(n: int) -> int:
     return 1
 
 
-def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of an odd composite n by Brent's rho with
-    y -> y*y + 1, or 1 if none shows within _RHO_STEPS steps."""
+def _pollard_rho(n: int, exps: dict[int, int], mult: int) -> int:
+    """One walk of Brent's rho with y -> y*y + 1 on an odd composite n.
+
+    The walk goes on past each split.  When a block's gcd is a proper factor
+    g, g goes to _split and is divided out, and the same x, y and r walk on
+    the cofactor: the sequence mod each prime left is unchanged.  It stops
+    when _settle records the cofactor (1, a prime or a perfect power), or once
+    the next round would pass _RHO_STEPS steps.  Returns what is left: 1, or
+    a composite with no root that the walk did not split.
+    """
     y, r, q = 2, 1, 1
-    g, x, ys = 1, 0, 0
     steps = 0
-    while g == 1:
-        if steps + 2 * r > _RHO_STEPS:  # a round takes up to 2r steps
-            return 1
+    while steps + 2 * r <= _RHO_STEPS:  # a round takes up to 2r steps
         x = y
         for _ in range(r):
             y = (y * y + 1) % n
         k = 0
-        while k < r and g == 1:
+        while k < r:
             ys = y
             for _ in range(min(128, r - k)):
                 y = (y * y + 1) % n
                 q = q * (x - y) % n
-            g = math.gcd(q, n)
             k += 128
+            g = math.gcd(q, n)
+            if g == 1:
+                continue
+            if g == n:
+                # Every prime left met x in this block: replay it one step at
+                # a time to the first meeting.
+                g = 1
+                while g == 1:
+                    ys = (ys * ys + 1) % n
+                    g = math.gcd(x - ys, n)
+                if g == n:
+                    return n
+            # A composite g, two primes met in one block, gets its own walk.
+            n = _divide_out(n, g, exps, mult)
+            if _settle(n, exps, mult):
+                return 1
+            x, y, q = x % n, y % n, 1
         steps += r + min(k, r)
         r <<= 1
-    if g == n:
-        g = 1
-        while g == 1:
-            ys = (ys * ys + 1) % n
-            g = math.gcd(x - ys, n)
-    return 1 if g == n else g
+    return n
 
 
 def _sieve(limit: int) -> bytearray:
@@ -327,15 +349,14 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
-def _split(n: int, exps: dict[int, int], mult: int = 1) -> None:
-    """Recursively split a cofactor that survived trial division: primes are
-    recorded, perfect powers are rooted, and anything else is split by Hart's
-    one-line factoring, then by _RHO_STEPS of Pollard rho, then by ECM along
-    _ECM_SCHEDULE.  Raises FactorizationBudgetError when all three come back
-    empty."""
+def _settle(n: int, exps: dict[int, int], mult: int) -> bool:
+    """Whether n is 1, a prime or a perfect power, which is then recorded in
+    ``exps`` (a root through _split); False leaves n to the caller."""
+    if n == 1:
+        return True
     if is_prime(n):
         exps[n] = exps.get(n, 0) + mult
-        return
+        return True
     # Rho and ECM work as hard on p**k as on p times another prime of p's
     # size, so roots are taken first.  Every prime of n exceeds _TRIAL_LIMIT =
     # 2**t, so n = m**k has k <= (bits(n) - 1) / t.
@@ -344,11 +365,24 @@ def _split(n: int, exps: dict[int, int], mult: int = 1) -> None:
         root = _iroot(n, k)
         if root**k == n:
             _split(root, exps, mult * k)
-            return
+            return True
+    return False
+
+
+def _split(n: int, exps: dict[int, int], mult: int = 1) -> None:
+    """Recursively split a cofactor that survived trial division: _settle
+    records primes and roots perfect powers, and anything else is split by
+    Hart's one-line factoring, or else by one Pollard rho walk of up to
+    _RHO_STEPS steps, with ECM along _ECM_SCHEDULE on the composite the walk
+    leaves.  Raises FactorizationBudgetError when all three come back
+    empty."""
+    if _settle(n, exps, mult):
+        return
     d = _hart(n)
     if d == 1:
-        d = _pollard_rho(n)
-    if d == 1:
+        n = _pollard_rho(n, exps, mult)
+        if n == 1:
+            return
         d = _ecm(n)
     if d == 1:
         raise FactorizationBudgetError(
@@ -357,13 +391,18 @@ def _split(n: int, exps: dict[int, int], mult: int = 1) -> None:
             f"{sum(c for _, c in _ECM_SCHEDULE)} ECM curves up to B1 = "
             f"{_ECM_SCHEDULE[-1][0]}"
         )
+    _split(_divide_out(n, d, exps, mult), exps, mult)
+
+
+def _divide_out(n: int, d: int, exps: dict[int, int], mult: int) -> int:
+    """n with every factor d divided out; d, to the power taken, goes to
+    _split."""
     e = 0
     while n % d == 0:
         n //= d
         e += 1
     _split(d, exps, mult * e)
-    if n > 1:
-        _split(n, exps, mult)
+    return n
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

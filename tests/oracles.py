@@ -96,7 +96,7 @@ def wide_products(seed, count):
     bits whose second-largest prime has at most 44 bits, drawn from ``seed``.
 
     The first has just two primes, the smaller of 36 to 44 bits: past the
-    short Pollard rho run, so only ECM splits it.
+    reach of the Pollard rho walk, so only ECM splits it.
     """
     rng = random.Random(seed)
     out = []

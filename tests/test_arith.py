@@ -23,6 +23,7 @@ from ordlift.arith import (
 )
 from ordlift.errors import FactorizationBudgetError
 from oracles import is_prime as oracle_is_prime
+from oracles import random_prime
 from oracles import strong_probable_prime
 from oracles import wide_products
 
@@ -95,16 +96,100 @@ def _product(factors):
 
 def test_factorize_wide_products():
     # Products of up to 128 bits whose second-largest prime has at most 44
-    # bits.  The first is two primes of 36 bits or more, which the short rho
-    # run leaves to ECM.
+    # bits.  The first is two primes of 36 bits or more, which the rho walk
+    # leaves whole to ECM.
     cases = wide_products(2009, 12)
     assert min(cases[0]).bit_length() >= 36 and len(cases[0]) == 2
-    assert arith._pollard_rho(_product(cases[0])) == 1
+    exps = {}
+    assert arith._pollard_rho(_product(cases[0]), exps, 1) == _product(cases[0])
+    assert exps == {}
     for factors in cases:
         n = _product(factors)
         f = factorize(n)
         assert f.factors == tuple(sorted(factors.items()))
         assert all(oracle_is_prime(p) for p, _ in f.factors)
+
+
+def _count_walks(monkeypatch):
+    """The cofactors on which a rho walk starts, recorded as they start."""
+    walks = []
+    walk = arith._pollard_rho
+
+    def counted(n, exps, mult):
+        walks.append(n)
+        return walk(n, exps, mult)
+
+    monkeypatch.setattr(arith, "_pollard_rho", counted)
+    return walks
+
+
+def test_one_walk_splits_every_prime_of_21_to_24_bits(monkeypatch):
+    # The 21-, 22-, 23- and 24-bit primes that random_prime draws from
+    # Random(24).  One walk, continued past each split, finds all four
+    # without ECM.
+    primes = (1761187, 2862997, 5463503, 10327949)
+    rng = random.Random(24)
+    assert tuple(random_prime(rng, bits) for bits in (21, 22, 23, 24)) == primes
+    arith._factor_pairs.cache_clear()
+    walks = _count_walks(monkeypatch)
+
+    def no_ecm(n):
+        raise AssertionError(f"ECM reached on {n}")
+
+    monkeypatch.setattr(arith, "_ecm", no_ecm)
+    n = 284519236510442903801266333
+    assert factorize(n).factors == tuple((p, 1) for p in primes)
+    assert walks == [n]
+
+
+def test_walk_roots_a_square_it_leaves(monkeypatch):
+    # The walk splits off the 21-bit prime and leaves (2**61 - 1)**2, which is
+    # rooted, not walked to the cap or handed to ECM: 2**61 - 1 is beyond
+    # the reach of both.
+    p, q = 1761187, 2**61 - 1
+    arith._factor_pairs.cache_clear()
+    walks = _count_walks(monkeypatch)
+
+    def no_ecm(n):
+        raise AssertionError(f"ECM reached on {n}")
+
+    monkeypatch.setattr(arith, "_ecm", no_ecm)
+    n = p * q**2
+    assert factorize(n).factors == ((p, 1), (q, 2))
+    assert walks == [n]
+
+
+@pytest.mark.parametrize(
+    "primes, walks",
+    [
+        # 2069 and 3121 meet x in one gcd block: the composite 2069 * 3121
+        # is split off and gets a walk of its own.
+        ((1283, 2069, 3121), [8284778767, 2069 * 3121]),
+        # All three meet x in one block: the replay splits off one prime and
+        # the same walk goes on to the other two.
+        ((5839, 9973, 47087), [2741986523189]),
+    ],
+)
+def test_primes_meeting_in_one_block(monkeypatch, primes, walks):
+    n = math.prod(primes)
+    assert arith._hart(n) == 1
+    arith._factor_pairs.cache_clear()
+    started = _count_walks(monkeypatch)
+    assert factorize(n).factors == tuple((p, 1) for p in primes)
+    assert started == walks
+
+
+def test_factorize_random_products_of_small_primes():
+    # Products of 2 to 4 primes of 11 to 26 bits, some of them squared: the
+    # sizes that one rho walk splits, with ECM behind it past the cap.
+    rng = random.Random(2024)
+    for _ in range(1200):
+        factors = {}
+        for _ in range(rng.randint(2, 4)):
+            p = random_prime(rng, rng.randint(11, 26))
+            factors[p] = factors.get(p, 0) + rng.choice((1, 1, 1, 2))
+        n = _product(factors)
+        assert factorize(n).factors == tuple(sorted(factors.items())), n
 
 
 def test_ecm_stage_2_finds_what_stage_1_misses():

@@ -88,7 +88,7 @@ def test_random_products_factor_and_match_phi_reference():
 
 def test_wide_products_match_phi_reference():
     # The factoring test's products of up to 128 bits, whose primes past the
-    # short rho run only ECM splits: engine and phi reference agree.
+    # reach of the rho walk only ECM splits: engine and phi reference agree.
     rng = random.Random(2009)
     for factors in wide_products(2009, 12):
         n = math.prod(p**k for p, k in factors.items())
