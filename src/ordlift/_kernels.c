@@ -2365,7 +2365,7 @@ int __pyx_module_is_main_ordlift___kernels = 0;
 /* Implementation of "ordlift._kernels" */
 /* #### Code section: global_var ### */
 /* #### Code section: string_decls ### */
-static const char __pyx_k_Compiled_kernels_for_the_hot_loo[] = "Compiled kernels for the hot loops.\n\nSame contracts as ``_pykernels``; operands must fit the 64-bit fast path\n(``_backend`` enforces that and falls back otherwise).\n";
+static const char __pyx_k_Compiled_kernels_for_the_hot_loo[] = "Compiled kernels for the hot loops.\n\nSame contracts as ``_pykernels``, for operands that fit the 64-bit fast\npath.  ordlift never imports this module: only the benchmark's traced run\nbuilds it, to time it against the pure-Python kernels.\n";
 /* #### Code section: decls ### */
 static PyObject *__pyx_pf_7ordlift_8_kernels_order_scan(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_base, PyObject *__pyx_v_n); /* proto */
 static PyObject *__pyx_pf_7ordlift_8_kernels_2proj_order_scan(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_base, PyObject *__pyx_v_n); /* proto */

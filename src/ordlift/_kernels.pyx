@@ -2,8 +2,9 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True
 """Compiled kernels for the hot loops.
 
-Same contracts as ``_pykernels``; operands must fit the 64-bit fast path
-(``_backend`` enforces that and falls back otherwise).
+Same contracts as ``_pykernels``, for operands that fit the 64-bit fast
+path.  ordlift never imports this module: only the benchmark's traced run
+builds it, to time it against the pure-Python kernels.
 """
 
 from libc.stdlib cimport calloc, free, malloc

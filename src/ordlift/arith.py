@@ -5,14 +5,15 @@ convention, modular exponentiation and Euler's totient.  Everything is pure
 and deterministic, operates on plain Python ints (so operands past 64 bits
 are fine), and factorization results are cached for the sweep-heavy callers.
 
-Factorization is trial division up to _TRIAL_LIMIT, then, for each cofactor
-that is neither prime nor a perfect power, Hart's one-line factoring at a few
-multipliers, one walk of Brent's Pollard rho that goes on past each factor
-it splits off, and then Lenstra's elliptic-curve method (ECM) on Montgomery
-curves for what the walk leaves.  These share one budget per cofactor, a
-fixed count of steps and curves, so the time it takes grows with the
-cofactor; past it FactorizationBudgetError is raised.  The curves come in a
-fixed order, so a factorization always takes the same route.
+Factorization is trial division up to _TRIAL_LIMIT, then one loop over a
+stack of cofactors (_split).  Each that is neither prime nor a perfect power
+goes to Hart's one-line factoring at a few multipliers, then to a walk of
+Brent's Pollard rho, which the cofactor left by each split resumes, and then
+to Lenstra's elliptic-curve method (ECM) on Montgomery curves for what the
+walk gives up on; ECM's pieces get no walk.  These share one budget per
+cofactor, a fixed count of steps and curves, so the time it takes grows
+with the cofactor; past it FactorizationBudgetError is raised.  The curves
+come in a fixed order, so a factorization always takes the same route.
 """
 
 from __future__ import annotations
@@ -63,6 +64,10 @@ _HART_MULTIPLIERS = 16
 # 4.9-24.1 ms at 2^12, 6.9-28.2 ms at 2^14 and 12.2-46.4 ms at 2^16.  2^14
 # is the first cap on the flat range.
 _RHO_STEPS = 1 << 14
+
+# The walk state (x, y, r, k, steps) that _pollard_rho starts a walk from:
+# y = 2, in round r = 1, before its first step.
+_RHO_START = (2, 2, 1, 0, 0)
 
 # ECM levels (B1, curves): stage 1 multiplies by lcm(1..B1), stage 2 covers
 # one more prime up to _ECM_B2_RATIO * B1 by baby-step giant-step with
@@ -173,23 +178,30 @@ def _hart(n: int) -> int:
     return 1
 
 
-def _pollard_rho(n: int, exps: dict[int, int], mult: int) -> int:
-    """One walk of Brent's rho with y -> y*y + 1 on an odd composite n.
+def _pollard_rho(n: int, at: tuple[int, ...]) -> tuple[int, tuple[int, ...] | None]:
+    """Brent's rho with y -> y*y + 1 on an odd composite n, from walk state
+    ``at``: (g, state) with g a proper factor of n and the state at which it
+    showed, or (1, None) once the next round would pass _RHO_STEPS steps or
+    every prime of n meets at one step.
 
-    The walk goes on past each split.  When a block's gcd is a proper factor
-    g, g goes to _split and is divided out, and the same x, y and r walk on
-    the cofactor: the sequence mod each prime left is unchanged.  It stops
-    when _settle records the cofactor (1, a prime or a perfect power), or once
-    the next round would pass _RHO_STEPS steps.  Returns what is left: 1, or
-    a composite with no root that the walk did not split.
+    A state is (x, y, r, k, steps): round r's fixed point x, the current y,
+    the k steps of round r already taken (0 before the round starts) and
+    the steps of the rounds before; _RHO_START starts a walk.  The state
+    holds for any divisor of n, so _split resumes the walk from it on the
+    cofactor left by a split: the sequence mod each prime left is
+    unchanged, and the cap counts the steps of the whole walk.  The walk
+    records nothing and calls nothing back; what each piece gets next is
+    up to _split.
     """
-    y, r, q = 2, 1, 1
-    steps = 0
-    while steps + 2 * r <= _RHO_STEPS:  # a round takes up to 2r steps
-        x = y
-        for _ in range(r):
-            y = (y * y + 1) % n
-        k = 0
+    x, y, r, k, steps = at
+    x, y, q = x % n, y % n, 1
+    while True:
+        if k == 0:
+            if steps + 2 * r > _RHO_STEPS:  # a round takes up to 2r steps
+                return 1, None
+            x = y
+            for _ in range(r):
+                y = (y * y + 1) % n
         while k < r:
             ys = y
             for _ in range(min(128, r - k)):
@@ -207,15 +219,10 @@ def _pollard_rho(n: int, exps: dict[int, int], mult: int) -> int:
                     ys = (ys * ys + 1) % n
                     g = math.gcd(x - ys, n)
                 if g == n:
-                    return n
-            # A composite g, two primes met in one block, gets its own walk.
-            n = _divide_out(n, g, exps, mult)
-            if _settle(n, exps, mult):
-                return 1
-            x, y, q = x % n, y % n, 1
+                    return 1, None
+            return g, (x, y, r, k, steps)
         steps += r + min(k, r)
-        r <<= 1
-    return n
+        r, k = r << 1, 0
 
 
 def _sieve(limit: int) -> bytearray:
@@ -349,60 +356,62 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
-def _settle(n: int, exps: dict[int, int], mult: int) -> bool:
-    """Whether n is 1, a prime or a perfect power, which is then recorded in
-    ``exps`` (a root through _split); False leaves n to the caller."""
-    if n == 1:
-        return True
-    if is_prime(n):
-        exps[n] = exps.get(n, 0) + mult
-        return True
+def _split(n: int, exps: dict[int, int]) -> None:
+    """Record in ``exps`` the primes of a cofactor n that survived trial
+    division, by one loop over a stack of (cofactor, multiplicity, walk
+    state) that starts at (n, 1, _RHO_START).
+
+    A 1 is dropped, a prime recorded and a perfect power replaced by its
+    root, which keeps its walk state.  Anything else goes to Hart's one-line
+    factoring, then to its rho walk, then to ECM along _ECM_SCHEDULE; the
+    factor found is divided out and both pieces go on the stack.  What a
+    piece gets next is set here, and only here:
+    - Hart runs on every composite piece, as it costs microseconds and
+      splits shapes such as p*(2p - 1) that neither rho nor ECM reaches,
+      and its two pieces keep the walk state of what they came from;
+    - a walk's factor starts a walk of its own, since the primes in it met
+      in one block, and the walk's cofactor resumes the walk where it split;
+    - ECM runs only once a walk gave up, so its two pieces get no walk
+      (state None): a walk would retake steps that failed for every prime
+      in them.
+    Raises FactorizationBudgetError when all three come back empty.
+    """
     # Rho and ECM work as hard on p**k as on p times another prime of p's
     # size, so roots are taken first.  Every prime of n exceeds _TRIAL_LIMIT =
     # 2**t, so n = m**k has k <= (bits(n) - 1) / t.
     t = _TRIAL_LIMIT.bit_length() - 1
-    for k in range(2, (n.bit_length() - 1) // t + 1):
-        root = _iroot(n, k)
-        if root**k == n:
-            _split(root, exps, mult * k)
-            return True
-    return False
-
-
-def _split(n: int, exps: dict[int, int], mult: int = 1) -> None:
-    """Recursively split a cofactor that survived trial division: _settle
-    records primes and roots perfect powers, and anything else is split by
-    Hart's one-line factoring, or else by one Pollard rho walk of up to
-    _RHO_STEPS steps, with ECM along _ECM_SCHEDULE on the composite the walk
-    leaves.  Raises FactorizationBudgetError when all three come back
-    empty."""
-    if _settle(n, exps, mult):
-        return
-    d = _hart(n)
-    if d == 1:
-        n = _pollard_rho(n, exps, mult)
+    stack = [(n, 1, _RHO_START)]
+    while stack:
+        n, mult, at = stack.pop()
         if n == 1:
-            return
-        d = _ecm(n)
-    if d == 1:
-        raise FactorizationBudgetError(
-            f"no factor of {n} by Hart's one-line method at multipliers up to "
-            f"{_HART_MULTIPLIERS}, within {_RHO_STEPS} Pollard rho steps and "
-            f"{sum(c for _, c in _ECM_SCHEDULE)} ECM curves up to B1 = "
-            f"{_ECM_SCHEDULE[-1][0]}"
-        )
-    _split(_divide_out(n, d, exps, mult), exps, mult)
-
-
-def _divide_out(n: int, d: int, exps: dict[int, int], mult: int) -> int:
-    """n with every factor d divided out; d, to the power taken, goes to
-    _split."""
-    e = 0
-    while n % d == 0:
-        n //= d
-        e += 1
-    _split(d, exps, mult * e)
-    return n
+            continue
+        if is_prime(n):
+            exps[n] = exps.get(n, 0) + mult
+            continue
+        for k in range(2, (n.bit_length() - 1) // t + 1):
+            root = _iroot(n, k)
+            if root**k == n:
+                stack.append((root, mult * k, at))
+                break
+        else:
+            d, walk = _hart(n), at
+            if d == 1 and at is not None:
+                d, at = _pollard_rho(n, at)  # (1, None) when it gives up
+                walk = _RHO_START
+            if d == 1:
+                d, walk = _ecm(n), None
+            if d == 1:
+                raise FactorizationBudgetError(
+                    f"no factor of {n} by Hart's one-line method at multipliers "
+                    f"up to {_HART_MULTIPLIERS}, within {_RHO_STEPS} Pollard rho "
+                    f"steps and {sum(c for _, c in _ECM_SCHEDULE)} ECM curves up "
+                    f"to B1 = {_ECM_SCHEDULE[-1][0]}"
+                )
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            stack += ((n, mult, at), (d, mult * e, walk))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

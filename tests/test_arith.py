@@ -100,9 +100,7 @@ def test_factorize_wide_products():
     # leaves whole to ECM.
     cases = wide_products(2009, 12)
     assert min(cases[0]).bit_length() >= 36 and len(cases[0]) == 2
-    exps = {}
-    assert arith._pollard_rho(_product(cases[0]), exps, 1) == _product(cases[0])
-    assert exps == {}
+    assert arith._pollard_rho(_product(cases[0]), arith._RHO_START) == (1, None)
     for factors in cases:
         n = _product(factors)
         f = factorize(n)
@@ -111,13 +109,15 @@ def test_factorize_wide_products():
 
 
 def _count_walks(monkeypatch):
-    """The cofactors on which a rho walk starts, recorded as they start."""
+    """The cofactors on which a rho walk starts, recorded as they start; a
+    walk resumed on a cofactor it left is not counted again."""
     walks = []
     walk = arith._pollard_rho
 
-    def counted(n, exps, mult):
-        walks.append(n)
-        return walk(n, exps, mult)
+    def counted(n, at):
+        if at == arith._RHO_START:
+            walks.append(n)
+        return walk(n, at)
 
     monkeypatch.setattr(arith, "_pollard_rho", counted)
     return walks
@@ -177,6 +177,48 @@ def test_primes_meeting_in_one_block(monkeypatch, primes, walks):
     started = _count_walks(monkeypatch)
     assert factorize(n).factors == tuple((p, 1) for p in primes)
     assert started == walks
+
+
+def test_ecm_pieces_get_no_walk(monkeypatch):
+    # The three 40-bit primes that random_prime draws from Random(3).  The
+    # walk gives up on n and ECM splits off 606704305733; the 80-bit rest
+    # goes straight to ECM, not to a second walk that would retake the
+    # steps that already failed for both of its primes.
+    primes = (606704305733, 682353338593, 1010610212239)
+    rng = random.Random(3)
+    assert sorted(random_prime(rng, 40) for _ in range(3)) == list(primes)
+    arith._factor_pairs.cache_clear()
+    walks = _count_walks(monkeypatch)
+    ecm_runs = []
+    ecm = arith._ecm
+
+    def counted_ecm(n):
+        ecm_runs.append(n)
+        return ecm(n)
+
+    monkeypatch.setattr(arith, "_ecm", counted_ecm)
+    n = 418379195397561337650518236340654891
+    assert factorize(n).factors == tuple((p, 1) for p in primes)
+    assert walks == [n]
+    assert ecm_runs == [n, 689593252337461959639727]
+
+
+@pytest.mark.parametrize(
+    "n, small",
+    [
+        # ECM splits off the 40-bit prime.
+        (1612896696687108961760031631645655669721737562149, 606704305733),
+        # The walk splits off the 21-bit prime.
+        (4682038132424897528900532427504411894076611, 1761187),
+    ],
+)
+def test_hart_runs_on_every_piece(n, small):
+    # What is left is p * (2p - 1) with p of 60 bits, beyond the reach of
+    # rho and ECM, which only Hart's pass (multiplier 8) splits.
+    p = 1152921504606847009
+    assert n == small * p * (2 * p - 1)
+    arith._factor_pairs.cache_clear()
+    assert factorize(n).factors == ((small, 1), (p, 1), (2 * p - 1, 1))
 
 
 def test_factorize_random_products_of_small_primes():
