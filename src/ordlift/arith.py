@@ -14,6 +14,13 @@ walk gives up on; ECM's pieces get no walk.  These share one budget per
 cofactor, a fixed count of steps and curves, so the time it takes grows
 with the cofactor; past it FactorizationBudgetError is raised.  The curves
 come in a fixed order, so a factorization always takes the same route.
+
+Primality is Miller-Rabin to graded bases below psi_6 ~ 3.5e12 and
+Baillie-PSW (BPSW) from there on: a strong test to base 2 and a strong
+Lucas test.  Every verdict below psi_13 ~ 3.32e24 is proven; from psi_13
+on, BPSW is the whole test, and psi_13 itself, a strong pseudoprime to the
+first thirteen primes, is rejected.  ``is_prime`` says which part proves
+what.
 """
 
 from __future__ import annotations
@@ -88,14 +95,16 @@ _CACHE_SIZE = 1 << 16
 # Miller-Rabin witnesses, the first thirteen primes: deterministic for every
 # n < psi_13 = 3317044064679887385961981 ~ 3.32e24 (Sorenson-Webster 2015).
 # psi_13 = 1287836182261 * 2575672364521 is a strong pseudoprime to all
-# thirteen and passes.
+# thirteen; the strong Lucas test of is_prime rejects it.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 # (psi_k, k): every odd composite n < psi_k fails the strong test to one of
 # the first k witnesses, and psi_k itself, a composite, passes all k (OEIS
 # A014233; Jaeschke 1993, Jiang-Deng 2014).  psi_8 = psi_7 and psi_10 =
-# psi_11 = psi_9, so those counts never pay; twelve run from psi_9 and all
-# thirteen from psi_12 on.
+# psi_11 = psi_9, so those counts never pay.  The graded bases alone decide
+# only below psi_6, where they are at most six.  From psi_6 on is_prime runs
+# BPSW, and from 2^64 to psi_13 the rest of the graded bases follow it: 3..37
+# below psi_12 and 3..41 from there.
 _MR_BOUNDS = (
     (2047, 1),
     (1373653, 2),
@@ -107,6 +116,17 @@ _MR_BOUNDS = (
     (3825123056546413051, 9),
     (318665857834031151167461, 12),
 )
+
+# From psi_6 on, one strong Lucas test costs less than the seven or more
+# bases the graded test would need: per prime, 29 against 48 us at 44 bits
+# and 51 against 145 us at 64 bits (best of 10 over 200 random primes;
+# 2-core x86-64 VM, Python 3.11).  Base 2 plus strong Lucas (BPSW) has no
+# counterexample below 2^64 (Feitsma's list of base-2 strong pseudoprimes,
+# checked by Gilchrist), so it is proven there; from 2^64 to psi_13 the
+# graded bases run after it, and from psi_13 on it is the whole test.
+_BPSW_FROM = _MR_BOUNDS[5][0]
+_BPSW_PROVEN_BELOW = 1 << 64
+_PSI_13 = 3317044064679887385961981
 
 
 class Factorization(namedtuple("Factorization", "value factors")):
@@ -129,12 +149,17 @@ class Factorization(namedtuple("Factorization", "value factors")):
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality test, deterministic below psi_13 ~ 3.32e24.
+    """Primality: proven below psi_13 ~ 3.32e24, Baillie-PSW from there on.
 
-    The bases are the first k primes, k graded by the size of n: the fewest
-    that are proven enough below the bounds psi_k of OEIS A014233
-    (``_MR_BOUNDS``), twelve from psi_9 ~ 3.8e18 and all thirteen from
-    psi_12 ~ 3.19e23 on.
+    Below psi_6 ~ 3.5e12 it is Miller-Rabin to the first k primes, k graded
+    by the size of n: the fewest that are proven enough below the bounds
+    psi_k of OEIS A014233 (``_MR_BOUNDS``).  From psi_6 on it is BPSW
+    (Baillie-Wagstaff 1980), a strong test to base 2 and then a strong Lucas
+    test (``_strong_lucas``), proven below 2^64.  From 2^64 to psi_13 the
+    bases 3..37, and 41 from psi_12 ~ 3.19e23 on, follow it, so the verdict
+    is proven there too.  From psi_13 on BPSW is the whole test: no
+    composite is known to pass it, and psi_13, which passes all thirteen
+    bases, fails it.
     """
     if n < 2:
         return False
@@ -146,6 +171,14 @@ def is_prime(n: int) -> bool:
         if n < bound:
             witnesses = _MR_WITNESSES[:k]
             break
+    if n >= _BPSW_FROM:
+        if not (_strong_probable_prime(n, (2,)) and _strong_lucas(n)):
+            return False
+        return (
+            n < _BPSW_PROVEN_BELOW
+            or n >= _PSI_13
+            or _strong_probable_prime(n, witnesses[1:])
+        )
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
@@ -160,6 +193,91 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _strong_probable_prime(n: int, witnesses: tuple[int, ...]) -> bool:
+    """True iff odd n > 2 passes the strong (Miller-Rabin) test to every
+    base in ``witnesses``.  ``is_prime`` keeps its own copy of this loop
+    below psi_6, where the call would add 1-5 % to each test."""
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in witnesses:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity."""
+    t = 1
+    if a < 0:  # (-1/n) = -1 exactly when n = 3 mod 4
+        a = -a
+        if n & 3 == 3:
+            t = -t
+    a %= n
+    while a:
+        while not a & 1:  # (2/n) = -1 exactly when n = 3 or 5 mod 8
+            a >>= 1
+            if n & 7 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a & 3 == 3 and n & 3 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """True iff odd n > 1 is a strong Lucas probable prime for Selfridge's
+    parameters (method A): D the first of 5, -7, 9, -11, ... with Jacobi
+    symbol (D/n) = -1, P = 1 and Q = (1 - D)/4.
+
+    With n + 1 = d * 2^s, d odd, n passes when U_d = 0 or V_(d 2^r) = 0 mod
+    n for some 0 <= r < s; every prime does.  A perfect square has no such
+    D and is rejected first; a D that shares a factor with n proves it
+    composite unless n is |D|.  V_d and V_(d+1) come from the top bit of d
+    down, by V_2k = V_k^2 - 2Q^k and V_(2k+1) = V_k V_(k+1) - Q^k, and U_d
+    is not needed: D U_k = 2V_(k+1) - V_k, and D is a unit mod n.
+    """
+    r = math.isqrt(n)
+    if r * r == n:
+        return False
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0:
+            return n == abs(D)
+        D = -D - 2 if D > 0 else 2 - D
+    q = (1 - D) // 4
+    d = n + 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    v, w, qk = 1, (1 - 2 * q) % n, q % n  # V_1, V_2 and Q^1
+    for bit in bin(d)[3:]:
+        if bit == "1":
+            v, w = (v * w - qk) % n, (w * w - 2 * qk * q) % n
+            qk = qk * qk * q % n
+        else:
+            v, w = (v * v - 2 * qk) % n, (v * w - qk) % n
+            qk = qk * qk % n
+    if v == 0 or (2 * w - v) % n == 0:
+        return True
+    for _ in range(s - 1):
+        v = (v * v - 2 * qk) % n
+        if v == 0:
+            return True
+        qk = qk * qk % n
+    return False
 
 
 def _hart(n: int) -> int:

@@ -24,6 +24,9 @@ compiled twins in ``_kernels.pyx``, which walk to 1.  The engine and
 ``_order_phi`` test their congruence before stripping (r**(p - 1) = 1 mod p
 for each prime, r**phi(n) = 1 mod n), so a composite factor that passed the
 primality test raises ArithmeticError instead of giving a wrong order.
+``is_prime`` is proven below psi_13 ~ 3.32e24, and BPSW alone decides from
+there on, so the guard backs only a BPSW pseudoprime past psi_13; none is
+known.
 
 a**order(a) - 1 is a multiple of n that the lifting formulas consume, but it
 is never materialized: ``remainder_gcd`` extracts the needed gcd from a

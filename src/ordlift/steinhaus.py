@@ -17,9 +17,10 @@ tables takes O(k N) steps at any m, and they give a progression's counts in
 O(m + k N) steps instead of m(m+1)/2.  ``triangle_counts`` counts a
 progression this way when that costs fewer steps than the triangle has
 entries, and otherwise steps whole rows packed into one int.
-``search_balanced_ap`` builds the tables once per call, and refuses a call
-whose k tables of n counts would not fit in memory; its docstring says which
-pairs it counts.
+``search_balanced_ap`` builds the tables once per call, refuses a call
+whose k tables of n counts would not fit in memory, and stops a call whose
+candidates would add more than a fixed count of table entries in all; its
+docstring says which pairs it counts.
 
 The tests check these two, and their compiled twins in ``_kernels.pyx``,
 against the literal row-by-row loop and the literal scan of all n**2
@@ -61,6 +62,14 @@ _COUNT_BY_RESIDUE_MAX_N = 40
 # 0.8 s (x86-64, Python 3.11).  The benchmark's searches keep at most 500
 # entries and a census of every odd n <= 201 at most 40,200.
 _MAX_TABLE_ENTRIES = 1 << 24
+# Most table entries, candidates times k * n, one search adds in all.  At
+# 65-77 ns an entry (x86-64, Python 3.11), 2^25 of them take 2.2-2.6 s, so
+# ``steinhaus search 4093 4092``, at 16.7M entries a candidate, exits 1 at
+# its third candidate after 3.1-4.1 s, against 5.7-6.5 s at 2^26.  A search
+# has at most n candidates, one per new r, and k <= n, so it adds at most
+# n^3 entries: every odd n <= 321 stays under the bound at any length.  The
+# searches of the tests and the benchmark add at most 6,500.
+_MAX_SEARCH_STEPS = 1 << 25
 
 
 class ZnSequence(namedtuple("ZnSequence", "modulus elements")):
@@ -305,7 +314,9 @@ def search_balanced_ap(n: int, m: int):
     return None.  At an admissible length, where n divides m(m+1)/2, it
     raises ValueError before any table is built when n is too large for one
     list of n counts, or when the k tables of n counts would hold more than
-    _MAX_TABLE_ENTRIES; at any other length it returns None first.
+    _MAX_TABLE_ENTRIES; at any other length it returns None first.  It also
+    raises ValueError, with no pair, at the candidate that would take the
+    entries added over all candidates past _MAX_SEARCH_STEPS.
 
     A step d that shares a factor g > 1 with n is skipped: mod g every
     entry (i, j) is 2^i c, so the entries miss the residues = 0 mod g when
@@ -337,6 +348,7 @@ def search_balanced_ap(n: int, m: int):
         )
     classes = list(_row_classes(k, m, n, n))
     seen = set()
+    steps = 0
     for c in range(n):
         if gcd(c, n) % n != c:  # no pair of this row is least in its orbit
             continue
@@ -348,6 +360,13 @@ def search_balanced_ap(n: int, m: int):
                 continue
             seen.add(rep)
             seen.add((1 - m - rep) % n)
+            steps += k * n
+            if steps > _MAX_SEARCH_STEPS:
+                raise ValueError(
+                    f"search is too long: a length-{m} search mod {n} adds "
+                    f"{k * n} table entries per candidate, past "
+                    f"{_MAX_SEARCH_STEPS} in all"
+                )
             for u, table in classes:
                 _add_row_class(counts, table, u, c, d, n)
             if all(v == target for v in counts):

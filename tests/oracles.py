@@ -67,20 +67,43 @@ def strong_probable_prime(n, a):
     return False
 
 
-def is_prime(n):
-    """Primality by the strong test to the first thirteen primes, proven for
-    n < PSI_13.  From PSI_13 on, also to 32 random bases seeded by n, each of
-    which a composite passes with probability at most 1/4."""
+def is_prime_13_bases(n):
+    """Miller-Rabin with all thirteen of the first primes as bases, always:
+    proven for n < PSI_13, and PSI_13 itself passes."""
     if n < 2:
         return False
     for p in _FIRST_13_PRIMES:
         if n % p == 0:
             return n == p
-    bases = list(_FIRST_13_PRIMES)
+    return all(strong_probable_prime(n, a) for a in _FIRST_13_PRIMES)
+
+
+def is_prime(n):
+    """Primality by the strong test to the first thirteen primes, proven for
+    n < PSI_13.  From PSI_13 on, also to 32 random bases seeded by n, each of
+    which a composite passes with probability at most 1/4."""
+    if not is_prime_13_bases(n):
+        return False
     if n >= PSI_13:
         rng = random.Random(n)
-        bases += [rng.randrange(2, n - 1) for _ in range(32)]
-    return all(strong_probable_prime(n, a) for a in bases)
+        return all(strong_probable_prime(n, rng.randrange(2, n - 1)) for _ in range(32))
+    return True
+
+
+def order_mod_prime(a, p):
+    """Order of a mod the prime p, a not divisible by p, by stripping the
+    primes of p - 1, found by trial division, from p - 1."""
+    e, m, q = p - 1, p - 1, 2
+    while m > 1:
+        if q * q > m:
+            q = m
+        if m % q == 0:
+            while m % q == 0:
+                m //= q
+            while e % q == 0 and pow(a, e // q, p) == 1:
+                e //= q
+        q += 1
+    return e
 
 
 def random_prime(rng, bits):

@@ -23,6 +23,7 @@ from ordlift.arith import (
 )
 from ordlift.errors import FactorizationBudgetError
 from oracles import is_prime as oracle_is_prime
+from oracles import is_prime_13_bases
 from oracles import random_prime
 from oracles import strong_probable_prime
 from oracles import wide_products
@@ -299,11 +300,11 @@ def test_budget_error_names_both_methods():
 
 def test_hart_splits_psi12_and_psi13():
     # Both are p * (2p - 1), so 8n + 1 is a square and multiplier 8 splits
-    # them.  psi_13 passes all thirteen bases, so _split never reaches the
-    # pass for it; called directly, the pass still splits it.
+    # them.
     assert arith._hart(PSI[12]) in (399165290221, 798330580441)
     assert arith._hart(PSI[13]) in (1287836182261, 2575672364521)
     assert factorize(PSI[12]).factors == ((399165290221, 1), (798330580441, 1))
+    assert factorize(PSI[13]).factors == ((1287836182261, 1), (2575672364521, 1))
 
 
 def test_is_prime_small():
@@ -332,16 +333,6 @@ PSI = {
 FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
-def is_prime_13_bases(n):
-    """Miller-Rabin with all thirteen of the first primes as bases, always."""
-    if n < 2:
-        return False
-    for p in FIRST_PRIMES:
-        if n % p == 0:
-            return n == p
-    return all(strong_probable_prime(n, a) for a in FIRST_PRIMES)
-
-
 def test_witness_bounds_are_a014233():
     # Every count skipped (8, 10, 11) has the same bound as the one below it.
     assert arith._MR_BOUNDS == tuple((PSI[k], k) for k in (1, 2, 3, 4, 5, 6, 7, 9, 12))
@@ -358,10 +349,9 @@ def test_witness_bounds_are_tight():
 
 
 def test_is_prime_rejects_each_graded_bound():
+    # psi_13 passes all thirteen bases; the strong Lucas test rejects it.
     for k, psi in PSI.items():
-        # psi_13 passes all thirteen bases: the known fault past the fixed
-        # bases.
-        assert is_prime(psi) == (k == 13), k
+        assert is_prime(psi) is False, k
 
 
 def test_is_prime_rejects_psi12():
@@ -370,14 +360,74 @@ def test_is_prime_rejects_psi12():
 
 
 def test_is_prime_graded_matches_thirteen_bases():
+    # The thirteen bases are proven below psi_13; from there on the
+    # reference adds 32 random bases.
     windows = [n for psi in PSI.values() for n in range(psi - 50, psi + 51)]
     rng = random.Random(1993)
     odd = [rng.getrandbits(bits) | 1 | 1 << (bits - 1)
-           for bits in range(2, 91) for _ in range(60)]
-    verdicts = {n: is_prime_13_bases(n) for n in windows + odd}
+           for bits in range(2, 161) for _ in range(60)]
+    verdicts = {
+        n: is_prime_13_bases(n) if n < PSI[13] else oracle_is_prime(n)
+        for n in windows + odd
+    }
     assert 0 < sum(verdicts.values()) < len(verdicts)
     for n, want in verdicts.items():
         assert is_prime(n) == want, n
+
+
+def test_is_prime_at_the_bpsw_seams():
+    # BPSW starts at psi_6, is proven below 2^64, has the graded bases after
+    # it up to psi_13 (all thirteen from psi_12) and is the whole test from
+    # psi_13 on.
+    for seam in (PSI[6], 1 << 64, PSI[12], PSI[13]):
+        for n in range(seam - 50, seam + 51):
+            assert is_prime(n) == oracle_is_prime(n), n
+
+
+# OEIS A217255: the strong Lucas pseudoprimes for Selfridge's parameters.
+STRONG_LUCAS_PSEUDOPRIMES = (
+    5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519,
+)
+
+
+def test_strong_lucas_below_60000_passes_primes_and_its_pseudoprimes():
+    # Every odd prime passes, and the only composites that do are A217255's,
+    # which is_prime rejects.
+    sieve = arith._sieve(60000)
+    passed = [n for n in range(3, 60001, 2) if arith._strong_lucas(n)]
+    assert [n for n in passed if not sieve[n]] == list(STRONG_LUCAS_PSEUDOPRIMES)
+    assert [n for n in passed if sieve[n]] == [n for n in range(3, 60001, 2) if sieve[n]]
+    for n in STRONG_LUCAS_PSEUDOPRIMES:
+        assert not is_prime(n), n
+
+
+def test_strong_lucas_rejects_base_2_pseudoprimes_psi_and_squares():
+    # Every odd composite below 10^6 that passes the strong test to base 2:
+    # 46 of them (OEIS A001262), none of which passes strong Lucas.
+    limit = 10**6
+    sieve = arith._sieve(limit)
+    base2 = [
+        n for n in range(3, limit, 2)
+        if not sieve[n] and pow(2, n - 1, n) == 1 and strong_probable_prime(n, 2)
+    ]
+    assert len(base2) == 46 and base2[:3] == [2047, 3277, 4033]
+    for n in base2 + list(PSI.values()):
+        assert not arith._strong_lucas(n), n
+    rng = random.Random(1980)
+    for p in [3, 5, 7, 11, 13, 1021] + [random_prime(rng, b) for b in (20, 42, 64, 90)]:
+        assert not arith._strong_lucas(p * p), p
+        assert is_prime(p) and not is_prime(p * p), p
+
+
+def test_jacobi_matches_euler_criterion():
+    # For an odd prime p, (a/p) = a^((p-1)/2) mod p; the Jacobi symbol of a
+    # composite is the product over its primes.
+    for p in (3, 5, 7, 11, 13, 97, 1009):
+        for a in range(-60, 61):
+            want = pow(a, (p - 1) // 2, p)
+            assert arith._jacobi(a, p) == (-1 if want == p - 1 else want), (a, p)
+    for a in range(-60, 61):
+        assert arith._jacobi(a, 97 * 1009) == arith._jacobi(a, 97) * arith._jacobi(a, 1009)
 
 
 def test_valuation_known_values():

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 import ordlift
 from ordlift import lifting, steinhaus
 from ordlift.cli import main
+from oracles import order_mod_prime
 from reference_grid import ALPHA_GRID
 
 
@@ -66,10 +68,12 @@ def test_eval_arithmetic_failures_exit_1():
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "Pollard rho" in err
     assert time.perf_counter() - t0 < 5.0
-    # A strong pseudoprime to the bases 2..41 that base 43 exposes.
-    code, out, err = run_cli("eval", "order", "43", "3317044064679887385961981")
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and "not prime" in err
+    # A strong pseudoprime to the bases 2..41 that the strong Lucas test
+    # rejects: split into its two primes, it gives the true order.
+    primes = (1287836182261, 2575672364521)
+    code, out, err = run_cli("eval", "order", "43", str(math.prod(primes)))
+    assert code == 0 and err == ""
+    assert out == f"{math.lcm(*(order_mod_prime(43, p) for p in primes))}\n"
 
 
 def test_eval_order_past_psi12():
@@ -242,6 +246,16 @@ def test_steinhaus_search_huge_length_is_fast():
     code, out, err = run_cli("steinhaus", "search", "3", "99999999999999999999")
     assert time.perf_counter() - t0 < 5.0
     assert code == 0 and out.strip() == "(1,2)" and err == ""
+
+
+def test_steinhaus_search_past_the_step_bound_exits_1(monkeypatch):
+    # 19 has no balanced progression of length 19, and its full scan adds
+    # 3420 table entries.
+    monkeypatch.setattr(steinhaus, "_MAX_SEARCH_STEPS", 3419)
+    code, out, err = run_cli("steinhaus", "search", "19", "19")
+    assert code == 1 and out == ""
+    assert err.startswith("error: search is too long")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_steinhaus_search_even_modulus_is_domain_error():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordlift import arith
 from ordlift.arith import euler_phi, factorize
 from ordlift.errors import InvalidPairError, NotCoprimeError
 from ordlift.lifting import (
@@ -30,11 +31,13 @@ from ordlift.orders import (
     proj_order_scan,
     remainder_gcd,
 )
-from oracles import random_prime, wide_products
+from oracles import is_prime_13_bases, order_mod_prime, random_prime, wide_products
 
-# A strong pseudoprime to every base 2..41 (Sorenson-Webster 2015), so
-# is_prime accepts it: 1287836182261 * 2575672364521.
+# A strong pseudoprime to every base 2..41 (Sorenson-Webster 2015) that the
+# strong Lucas test of is_prime rejects: 1287836182261 * 2575672364521.
 PSI13 = 3317044064679887385961981
+PSI13_PRIMES = (1287836182261, 2575672364521)
+
 
 coprime_pairs = st.tuples(st.integers(-200, 200), st.integers(1, 400)).filter(
     lambda t: math.gcd(t[0], t[1]) == 1
@@ -49,19 +52,51 @@ def test_mult_order_known_values():
     assert mult_order(1, 100).order == 1
 
 
-def test_pseudoprime_modulus_raises_instead_of_a_non_order():
-    # 43 is not a Fermat liar for PSI13, so the engine and the phi reference
-    # both see that the "prime" is composite.
-    for order_of in (_order_value, _order_phi):
-        with pytest.raises(ArithmeticError, match=str(PSI13)):
-            order_of(43, PSI13)
-    with pytest.raises(ArithmeticError):
-        mult_order(43, PSI13)
-    # 2 and 3 are liars: every order divides PSI13 - 1, so stripping its
-    # factors still finds the true order, lcm(ord mod 1287836182261,
-    # ord mod 2575672364521).
-    assert mult_order(2, PSI13).order == 1287836182260
-    assert mult_order(3, PSI13).order == 321959045565
+def _clear_factor_and_order_caches():
+    arith._factor_pairs.cache_clear()
+    _order_value.cache_clear()
+    _order_phi.cache_clear()
+
+
+def test_pseudoprime_modulus_raises_instead_of_a_non_order(monkeypatch):
+    # With the thirteen bases 2..41 alone as the primality test, PSI13 is
+    # taken for a prime.  43 is not a Fermat liar for it, so the engine and
+    # the phi reference both see that the "prime" is composite.
+    monkeypatch.setattr(arith, "is_prime", is_prime_13_bases)
+    _clear_factor_and_order_caches()
+    try:
+        assert factorize(PSI13).factors == ((PSI13, 1),)
+        for order_of in (_order_value, _order_phi):
+            with pytest.raises(ArithmeticError, match=str(PSI13)):
+                order_of(43, PSI13)
+        with pytest.raises(ArithmeticError):
+            mult_order(43, PSI13)
+        # 2 and 3 are liars: every order divides PSI13 - 1, so stripping its
+        # factors still finds the true order.
+        assert mult_order(2, PSI13).order == 1287836182260
+        assert mult_order(3, PSI13).order == 321959045565
+    finally:
+        monkeypatch.undo()
+        _clear_factor_and_order_caches()
+    # Split into its two primes, PSI13 gives every order as the lcm of the
+    # orders mod those primes.
+    assert factorize(PSI13).factors == tuple((p, 1) for p in PSI13_PRIMES)
+    for a in (2, 3, 43):
+        want = math.lcm(*(order_mod_prime(a, p) for p in PSI13_PRIMES))
+        assert mult_order(a, PSI13).order == _order_phi(a, PSI13) == want, a
+
+
+def test_order_with_psi13_in_p_minus_1():
+    # p = 48 * PSI13 + 1 is prime; taken for a prime, PSI13 made the
+    # engine print 13268176258719549543847924, a multiple of the order.
+    a, p = 88869262800137563507378951, 159218115104634594526175089
+    assert p - 1 == 2**4 * 3 * PSI13_PRIMES[0] * PSI13_PRIMES[1]
+    order = mult_order(a, p).order
+    assert order == 10302689458084 and (p - 1) % order == 0
+    assert pow(a, order, p) == 1
+    for q in (2, 3) + PSI13_PRIMES:
+        if order % q == 0:
+            assert pow(a, order // q, p) != 1, q
 
 
 def test_random_products_factor_and_match_phi_reference():

@@ -233,6 +233,31 @@ def test_search_too_many_tables_is_value_error(monkeypatch):
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_search_past_the_step_bound_is_value_error(monkeypatch):
+    # Each candidate adds k tables of n entries.  With the bound at the
+    # entries a search adds in all, it answers as before; one below, the
+    # candidate that would pass it raises instead.
+    added = []
+    add_row_class = steinhaus._add_row_class
+
+    def counted(counts, table, *args):
+        added.append(len(table))
+        add_row_class(counts, table, *args)
+
+    monkeypatch.setattr(steinhaus, "_add_row_class", counted)
+    for n, m in ((19, 19), (25, 50)):
+        added.clear()
+        want = search_balanced_ap(n, m)
+        assert want == literal_search(n, m)
+        steps = sum(added)
+        monkeypatch.setattr(steinhaus, "_MAX_SEARCH_STEPS", steps)
+        assert search_balanced_ap(n, m) == want
+        monkeypatch.setattr(steinhaus, "_MAX_SEARCH_STEPS", steps - 1)
+        message = f"^search is too long: a length-{m} search mod {n} adds "
+        with pytest.raises(ValueError, match=message):
+            search_balanced_ap(n, m)
+
+
 def test_search_returns_lexicographically_first():
     # The literal scan over all n**2 progressions, with literal triangle
     # counts, is the oracle: the search tests one pair per symmetry orbit and
