@@ -61,7 +61,7 @@ _TRIAL_LIMIT = 1 << 10
 # ECM to split psi_12.
 _HART_MULTIPLIERS = 16
 
-# Brent's rho steps (evaluations of y -> y*y + 1) per walk before ECM takes
+# Brent's rho steps (evaluations of y -> y*y + c) per walk before ECM takes
 # the cofactor left.  Rho needs about sqrt(p) steps for a prime factor p.
 # Chosen by a sweep over 2^12..2^16 with the walk continued past each split
 # (2-core x86-64 VM, Python 3.11): the cold wide-moduli benchmark pass (mean
@@ -72,9 +72,9 @@ _HART_MULTIPLIERS = 16
 # is the first cap on the flat range.
 _RHO_STEPS = 1 << 14
 
-# The walk state (x, y, r, k, steps) that _pollard_rho starts a walk from:
-# y = 2, in round r = 1, before its first step.
-_RHO_START = (2, 2, 1, 0, 0)
+# The walk state (c, x, y, r, k, steps) that _pollard_rho starts a walk
+# from: constant c = 1, y = 2, in round r = 1, before its first step.
+_RHO_START = (1, 2, 2, 1, 0, 0)
 
 # ECM levels (B1, curves): stage 1 multiplies by lcm(1..B1), stage 2 covers
 # one more prime up to _ECM_B2_RATIO * B1 by baby-step giant-step with
@@ -286,21 +286,22 @@ def _hart(n: int) -> int:
 
 
 def _pollard_rho(n: int, at: tuple[int, ...]) -> tuple[int, tuple[int, ...] | None]:
-    """Brent's rho with y -> y*y + 1 on an odd composite n, from walk state
+    """Brent's rho with y -> y*y + c on an odd composite n, from walk state
     ``at``: (g, state) with g a proper factor of n and the state at which it
-    showed, or (1, None) once the next round would pass _RHO_STEPS steps or
-    every prime of n meets at one step.
+    showed, or (1, None) once the next round would pass _RHO_STEPS steps.
 
-    A state is (x, y, r, k, steps): round r's fixed point x, the current y,
-    the k steps of round r already taken (0 before the round starts) and
-    the steps of the rounds before; _RHO_START starts a walk.  The state
-    holds for any divisor of n, so _split resumes the walk from it on the
-    cofactor left by a split: the sequence mod each prime left is
+    A state is (c, x, y, r, k, steps): the constant c, round r's fixed point
+    x, the current y, the k steps of round r already taken (0 before the
+    round starts) and the steps of the rounds before; _RHO_START starts a
+    walk.  When every prime of n meets x at one step, the walk starts again
+    from y = 2 with the next c, and its steps count on toward the cap.  The
+    state holds for any divisor of n, so _split resumes the walk from it on
+    the cofactor left by a split: the sequence mod each prime left is
     unchanged, and the cap counts the steps of the whole walk.  The walk
     records nothing and calls nothing back; what each piece gets next is
     up to _split.
     """
-    x, y, r, k, steps = at
+    c, x, y, r, k, steps = at
     x, y, q = x % n, y % n, 1
     while True:
         if k == 0:
@@ -308,11 +309,11 @@ def _pollard_rho(n: int, at: tuple[int, ...]) -> tuple[int, tuple[int, ...] | No
                 return 1, None
             x = y
             for _ in range(r):
-                y = (y * y + 1) % n
+                y = (y * y + c) % n
         while k < r:
             ys = y
             for _ in range(min(128, r - k)):
-                y = (y * y + 1) % n
+                y = (y * y + c) % n
                 q = q * (x - y) % n
             k += 128
             g = math.gcd(q, n)
@@ -323,13 +324,17 @@ def _pollard_rho(n: int, at: tuple[int, ...]) -> tuple[int, tuple[int, ...] | No
                 # a time to the first meeting.
                 g = 1
                 while g == 1:
-                    ys = (ys * ys + 1) % n
+                    ys = (ys * ys + c) % n
                     g = math.gcd(x - ys, n)
-                if g == n:
-                    return 1, None
-            return g, (x, y, r, k, steps)
-        steps += r + min(k, r)
-        r, k = r << 1, 0
+            if g < n:
+                return g, (c, x, y, r, k, steps)
+            # Every prime met x at the same step: a new walk with c + 1.
+            steps += r + min(k, r)
+            c, y, r, k, q = c + 1, 2, 1, 0, 1
+            break
+        else:
+            steps += r + min(k, r)
+            r, k = r << 1, 0
 
 
 def _sieve(limit: int) -> bytearray:

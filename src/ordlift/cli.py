@@ -20,13 +20,8 @@ import math
 import re
 import sys
 
-from ordlift.lifting import (
-    alpha_fast,
-    beta_fast,
-    order_fast,
-    proj_order_fast,
-    verify_claims,
-)
+from ordlift.laws import verify_claims
+from ordlift.lifting import alpha_fast, beta_fast, order_fast, proj_order_fast
 from ordlift.steinhaus import ZnSequence, search_balanced_ap, triangle
 
 __all__ = ["main"]

@@ -16,9 +16,8 @@ import pytest
 
 from ordlift.cli import main as cli_main
 from ordlift.errors import InvalidPairError
+from ordlift.laws import _alpha_phi, _beta_phi
 from ordlift.lifting import (
-    _alpha_phi,
-    _beta_phi,
     admissible_bases,
     alpha_fast,
     beta_fast,

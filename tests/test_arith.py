@@ -3,6 +3,7 @@
 import math
 import random
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -179,6 +180,37 @@ def test_primes_meeting_in_one_block(monkeypatch, primes, walks):
     assert factorize(n).factors == tuple((p, 1) for p in primes)
     assert started == walks
 
+
+
+@pytest.mark.parametrize("p, q", [(2129, 3061), (2939, 2069), (3631, 2341), (3499, 2593)])
+def test_primes_meeting_at_one_step(monkeypatch, p, q):
+    # Both primes meet x at the same step of the walk with c = 1, and every
+    # ECM curve at B1 = 200 finds both at once.  The walk starts again with
+    # c = 2, which splits n with no ECM.
+    n = p * q
+    assert arith._hart(n) == 1
+    assert all(arith._ecm_curve(n, sigma, 200) == n for sigma in range(6, 14))
+    d, at = arith._pollard_rho(n, arith._RHO_START)
+    assert d in (p, q) and at[0] == 2
+    arith._factor_pairs.cache_clear()
+
+    def no_ecm(n):
+        raise AssertionError(f"ECM reached on {n}")
+
+    monkeypatch.setattr(arith, "_ecm", no_ecm)
+    assert factorize(n).factors == ((min(p, q), 1), (max(p, q), 1))
+    assert factorize(4 * n * 8770973).factors == (
+        (2, 2), (min(p, q), 1), (max(p, q), 1), (8770973, 1))
+
+
+def test_factorize_products_of_two_primes_above_the_table():
+    # Products of two primes of 11 or 12 bits, the smallest that pass trial
+    # division: each one splits, whatever step its primes meet at.
+    rng = random.Random(1)
+    primes = [q for q in range(2**10 + 1, 2**12) if oracle_is_prime(q)]
+    for _ in range(1000):
+        factors = Counter((rng.choice(primes), rng.choice(primes)))
+        assert factorize(_product(factors)).factors == tuple(sorted(factors.items()))
 
 def test_ecm_pieces_get_no_walk(monkeypatch):
     # The three 40-bit primes that random_prime draws from Random(3).  The

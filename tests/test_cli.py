@@ -12,7 +12,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import ordlift
-from ordlift import lifting, steinhaus
+from ordlift import laws, steinhaus
 from ordlift.cli import main
 from oracles import order_mod_prime
 from reference_grid import ALPHA_GRID
@@ -45,6 +45,10 @@ def test_eval_order_and_proj_order():
     assert code == 0 and out.strip() == "2"
     code, out, _ = run_cli("eval", "beta", "2", "27")
     assert code == 0 and out.strip() == "1"
+    # 2129 * 3061: both primes meet at one step of the first rho walk.
+    code, out, err = run_cli("eval", "order", "2", "6516869")
+    assert code == 0 and err == ""
+    assert out == f"{math.lcm(order_mod_prime(2, 2129), order_mod_prime(2, 3061))}\n"
 
 
 def test_eval_negative_base():
@@ -175,12 +179,12 @@ def test_verify_with_workers():
 
 
 def test_verify_reports_failures_and_exits_one(monkeypatch):
-    real = lifting.lift_order
+    real = laws.lift_order
 
     def lift_order(pair, a):  # off by one at 7 | n1, a = 3
         return real(pair, a) + (pair.n1 % 7 == 0 and a == 3)
 
-    monkeypatch.setattr(lifting, "lift_order", lift_order)
+    monkeypatch.setattr(laws, "lift_order", lift_order)
     code, out, _ = run_cli("verify", "60", "6")
     assert code == 1
     lines = out.splitlines()

@@ -1,5 +1,7 @@
 """Tests for pair validation, the lifting formulas, and the law sweep."""
 
+import ast
+import inspect
 import math
 import multiprocessing
 import os
@@ -10,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordlift import arith, lifting, orders
+from ordlift import arith, laws, lifting, orders
 from ordlift.arith import radical, valuation
 from ordlift.errors import InvalidPairError, NotCoprimeError
+from ordlift.laws import verify_claims
 from ordlift.lifting import (
     BasePair,
     TwoAdicCase,
@@ -28,7 +31,6 @@ from ordlift.lifting import (
     make_base_pair,
     order_fast,
     proj_order_fast,
-    verify_claims,
 )
 from ordlift.orders import (
     alpha,
@@ -385,6 +387,19 @@ def test_verify_claims_pool_never_exceeds_cpu_count(monkeypatch, pool_sizes):
     assert pool_sizes == [3, 3]
 
 
+def test_lifting_holds_the_formulas_and_laws_the_sweep():
+    # laws imports from lifting, and lifting imports nothing from laws.
+    for name in ("verify_claims", "LawResult", "VerificationReport", "_LAWS", "_sweep"):
+        assert not hasattr(lifting, name), name
+        assert hasattr(laws, name), name
+    tree = ast.parse(inspect.getsource(lifting))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for a in node.names}
+    assert imported == {"__future__", "collections", "enum", "math",
+                        "ordlift.arith", "ordlift.errors", "ordlift.orders"}
+
+
 def test_verify_claims_sweep_shape():
     report = verify_claims(300, 10)
     assert [(law.law, law.checked) for law in report.laws] == [
@@ -415,28 +430,36 @@ def test_verify_claims_builds_each_modulus_once(monkeypatch):
     expected_pairs += n_max // 4
     calls = {"admissible_bases": 0, "make_base_pair": 0}
     for name in calls:
-        real = getattr(lifting, name)
+        real = getattr(laws, name)
 
         def counted(*args, name=name, real=real):
             calls[name] += 1
             return real(*args)
 
-        monkeypatch.setattr(lifting, name, counted)
+        monkeypatch.setattr(laws, name, counted)
     assert verify_claims(n_max, 10).ok
     assert calls == {"admissible_bases": n_max, "make_base_pair": expected_pairs}
 
 
 # Planted faults for the failure path of the sweep: each wraps one function
-# the sweep calls through the lifting module and changes its value on a few
+# the sweep calls through the laws module and changes its value on a few
 # inputs.  Together they make every law fail somewhere in verify_claims(60, 6).
-def _off_at(name, hit, change):
-    real = getattr(lifting, name)
+# alpha and beta are planted in lifting too, where lift_alpha and lift_beta
+# look them up.
+def _off_at(name, hit, change, modules=(laws,)):
+    real = getattr(laws, name)
 
     def fake(*args):
         got = real(*args)
         return change(got) if hit(*args) else got
 
-    return name, fake
+    return modules, name, fake
+
+
+def _plant(monkeypatch, fault):
+    modules, name, fake = fault
+    for module in modules:
+        monkeypatch.setattr(module, name, fake)
 
 
 def _accept_every_pair(n1, n2):
@@ -458,7 +481,8 @@ _FAULTS = {
         {"order-lift-exact": (8, "n1=7 n2=7 a=3: lifted 7 != direct 6")},
     ),
     "alpha": (
-        _off_at("alpha", lambda a, n: n % 9 == 0 and a == 2, lambda v: 2 * v),
+        _off_at("alpha", lambda a, n: n % 9 == 0 and a == 2, lambda v: 2 * v,
+                (laws, lifting)),
         {
             "alpha-lift-exact": (4, "n1=9 n2=9 a=2: lifted 4 != direct 2"),
             "alpha-reduction-divides": (
@@ -473,7 +497,8 @@ _FAULTS = {
         },
     ),
     "beta": (
-        _off_at("beta", lambda a, n: n % 8 == 0 and a == 3, lambda v: 2 * v),
+        _off_at("beta", lambda a, n: n % 8 == 0 and a == 3, lambda v: 2 * v,
+                (laws, lifting)),
         {
             "beta-lift-exact": (8, "n1=8 n2=8 a=3: lifted 2 != direct 1"),
             "beta-prime-power-stable": (4, "p=2 k=3 a=3: shortcut 1 != beta 2"),
@@ -494,11 +519,11 @@ _FAULTS = {
         {"prime-power-order-growth": (2, "p=5 k=3 a=2: order 101 != 100")},
     ),
     "accept-every-pair": (
-        ("make_base_pair", _accept_every_pair),
+        ((laws,), "make_base_pair", _accept_every_pair),
         {"rejected-pair-guard": (15, "(n1, rad) = (4, 2) was not rejected")},
     ),
     "wrong-reason": (
-        ("make_base_pair", _reject_for_wrong_reason),
+        ((laws,), "make_base_pair", _reject_for_wrong_reason),
         {
             "rejected-pair-guard": (
                 15,
@@ -512,8 +537,8 @@ _FAULTS = {
 
 @pytest.mark.parametrize("fault", sorted(_FAULTS))
 def test_verify_claims_reports_planted_fault(monkeypatch, fault):
-    (name, fake), expected = _FAULTS[fault]
-    monkeypatch.setattr(lifting, name, fake)
+    planted, expected = _FAULTS[fault]
+    _plant(monkeypatch, planted)
     report = verify_claims(60, 6)
     assert report.total_checked == 5001
     failing = {
@@ -533,9 +558,9 @@ def test_planted_faults_fail_every_law():
 
 def test_verify_claims_failures_identical_across_workers(monkeypatch, pool_sizes):
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    for (name, fake), _ in _FAULTS.values():
+    for planted, _ in _FAULTS.values():
         with monkeypatch.context() as m:
-            m.setattr(lifting, name, fake)
+            _plant(m, planted)
             serial = verify_claims(60, 6)
             assert verify_claims(60, 6, workers=2) == serial
             assert verify_claims(60, 6, workers=7) == serial

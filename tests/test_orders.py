@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from ordlift import arith
 from ordlift.arith import euler_phi, factorize
 from ordlift.errors import InvalidPairError, NotCoprimeError
+from ordlift.laws import _beta_phi
 from ordlift.lifting import (
-    _beta_phi,
     beta_fast,
     canonical_base,
     lift_beta,
@@ -50,6 +50,10 @@ def test_mult_order_known_values():
     assert mult_order(0, 1).order == 1
     assert mult_order(5, 1).order == 1
     assert mult_order(1, 100).order == 1
+    # 6516869 = 2129 * 3061, whose primes meet at one step of the first rho
+    # walk: the walk with the next constant splits it.
+    assert mult_order(2, 6516869).order == 27132
+    assert math.lcm(order_mod_prime(2, 2129), order_mod_prime(2, 3061)) == 27132
 
 
 def _clear_factor_and_order_caches():

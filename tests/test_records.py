@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import ordlift
-from ordlift import arith, errors, lifting, orders, steinhaus
+from ordlift import arith, errors, laws, lifting, orders, steinhaus
 from ordlift.steinhaus import ZnSequence
 
 _LAW = "LawResult(law='x', checked=3, failed=1, first_counterexample='n=1')"
@@ -197,7 +197,7 @@ def test_scalar_paths_keep_their_errors():
 
 
 def test_public_names_are_the_modules_lists():
-    modules = (arith, errors, lifting, orders, steinhaus)
+    modules = (arith, errors, laws, lifting, orders, steinhaus)
     expected = {"kernel_backend"}.union(*(m.__all__ for m in modules))
     assert set(ordlift.__all__) == expected
     assert len(ordlift.__all__) == len(expected)  # no name listed twice
