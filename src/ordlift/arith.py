@@ -378,27 +378,22 @@ def _stage2_plan(b1: int) -> tuple[tuple[int, ...], int, tuple[tuple[int, ...], 
 
 
 def _ladder(k: int, x: int, z: int, a24: int, n: int) -> tuple[int, int, int, int]:
-    """[k]P and [k + 1]P, as (X, Z, X', Z'), for k >= 1 and P = (x : z) on the
-    Montgomery curve with (A + 2) / 4 = a24, by the x-only ladder."""
-    x1, z1 = x, z
-    s = (x + z) * (x + z) % n
-    d = (x - z) * (x - z) % n
-    t = s - d
-    x2, z2 = s * d % n, t * (d + a24 * t) % n
-    for bit in bin(k)[3:]:
+    """[k]P and [k + 1]P, as (X, Z, X', Z'), for k >= 0 and P = (x : z) on the
+    Montgomery curve with (A + 2) / 4 = a24, by the x-only ladder from (O, P),
+    with one xADD and one xDBL a bit: a 1 bit swaps the pair before and after."""
+    x1, z1, x2, z2 = 1, 0, x, z
+    for bit in bin(k)[2:]:
+        if bit == "1":
+            x1, z1, x2, z2 = x2, z2, x1, z1
         u = (x1 - z1) * (x2 + z2)
         v = (x1 + z1) * (x2 - z2)
-        xa, za = z * (u + v) ** 2 % n, x * (u - v) ** 2 % n
+        s = (x1 + z1) * (x1 + z1) % n
+        d = (x1 - z1) * (x1 - z1) % n
+        t = s - d
+        x1, z1 = s * d % n, t * (d + a24 * t) % n
+        x2, z2 = z * (u + v) ** 2 % n, x * (u - v) ** 2 % n
         if bit == "1":
-            s = (x2 + z2) * (x2 + z2) % n
-            d = (x2 - z2) * (x2 - z2) % n
-            t = s - d
-            x1, z1, x2, z2 = xa, za, s * d % n, t * (d + a24 * t) % n
-        else:
-            s = (x1 + z1) * (x1 + z1) % n
-            d = (x1 - z1) * (x1 - z1) % n
-            t = s - d
-            x1, z1, x2, z2 = s * d % n, t * (d + a24 * t) % n, xa, za
+            x1, z1, x2, z2 = x2, z2, x1, z1
     return x1, z1, x2, z2
 
 

@@ -14,6 +14,7 @@ n1 alone and is derived from it.  It checks these preconditions itself on
 every route to one (the constructor, ``_make`` and ``_replace``, pickling
 and ``copy``), the way ``ZnSequence`` checks its own, so no pair that
 breaks them reaches the formulas; ``make_base_pair`` is the type itself.
+The checks factor nothing: rad(n1) | n2 exactly when n1 | n2**bits(n1).
 This module applies the transfer formulas and the prime-power shortcuts;
 the law sweep that checks them is ``ordlift.laws``.  The order engine in
 ``orders`` applies the same lifting prime by prime, so the *_fast names are
@@ -26,7 +27,7 @@ import math
 from collections import namedtuple
 from enum import Enum
 
-from ordlift.arith import divisors, is_prime, radical
+from ordlift.arith import _factor_pairs, is_prime, radical
 from ordlift.errors import InvalidPairError, NotCoprimeError
 from ordlift.orders import (
     _order_value,
@@ -68,8 +69,9 @@ class BasePair(namedtuple("BasePair", "n1 n2")):
     Checked on construction, by every route to a pair: n2 | n1, rad(n1) | n2,
     and 2*rad(n1) | n2 whenever 4 | n1.  A failed precondition raises
     InvalidPairError with a reason code naming it; the 2-adic condition is
-    not a formality, see the module docstring for the (24, 6) failure.  The
-    TwoAdicCase the pair satisfies depends on n1 alone and is derived from it.
+    not a formality, see the module docstring for the (24, 6) failure.  No
+    check factors n1: rad(n1) | n2 is n1 | n2**bits(n1), exact as no exponent
+    of n1 reaches bits(n1), and then 2*rad(n1) | n2 for 4 | n1 is 4 | n2.
     """
 
     __slots__ = ()
@@ -82,16 +84,14 @@ class BasePair(namedtuple("BasePair", "n1 n2")):
                 f"invalid pair ({n1}, {n2}): {n2} does not divide {n1}",
                 InvalidPairError.REASON_NOT_DIVISOR,
             )
-        rad = radical(n1)
-        if n2 % rad:
+        if pow(n2, int.bit_length(n1), n1):  # TypeError for a float, as elsewhere
             raise InvalidPairError(
-                f"invalid pair ({n1}, {n2}): radical {rad} does not divide {n2}",
+                f"invalid pair ({n1}, {n2}): a prime of {n1} does not divide {n2}",
                 InvalidPairError.REASON_RADICAL,
             )
-        if n1 % 4 == 0 and n2 % (2 * rad):
+        if n1 % 4 == 0 and n2 % 4:
             raise InvalidPairError(
-                f"invalid pair ({n1}, {n2}): 4 divides {n1} so n2 needs the factor "
-                f"2*rad = {2 * rad}",
+                f"invalid pair ({n1}, {n2}): 4 divides {n1} but not {n2}",
                 InvalidPairError.REASON_TWO_ADIC,
             )
         return tuple.__new__(cls, (n1, n2))
@@ -117,17 +117,22 @@ def canonical_base(n: int) -> int:
 
 
 def admissible_bases(n1: int) -> list[int]:
-    """Every n2 for which (n1, n2) is a valid lifting pair, ascending."""
-    base = canonical_base(n1)
-    return [base * t for t in divisors(n1 // base)]
+    """Every n2 for which (n1, n2) is a valid lifting pair, ascending: each
+    prime p**k of n1 takes p**1..p**k, or 2**2..2**k when p = 2 and k >= 2."""
+    bases = [1]
+    for p, k in _factor_pairs(n1):
+        bases = [b * p**e for b in bases for e in range(1 + (p == 2 and k > 1), k + 1)]
+    return sorted(bases)
 
 
 def lift_order(pair: BasePair, a: int) -> int:
-    """Order of a mod n1 from the order mod n2.
-
-    order(a, n1) = order(a, n2) * n1 / gcd(n1, a**order(a, n2) - 1).
-    """
-    rg = remainder_gcd(a, pair.n2, pair.n1)
+    """Order of a mod n1 from the order mod n2:
+    order(a, n1) = order(a, n2) * n1 / gcd(n1, a**order(a, n2) - 1)."""
+    try:
+        rg = remainder_gcd(a, pair.n2, pair.n1)
+    except NotCoprimeError:
+        msg = f"lift_order undefined: gcd({a}, {pair.n1}) != 1"
+        raise NotCoprimeError(msg) from None
     # remainder_gcd has checked n2 | n1 and gcd(a, n1) = 1, so a is a unit mod n2.
     return _order_value(a % pair.n2, pair.n2)[0] * (pair.n1 // rg)
 

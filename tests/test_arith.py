@@ -279,6 +279,27 @@ def test_ecm_stage_2_finds_what_stage_1_misses():
     assert arith._ecm_curve(n, sigma, b1) == 474349721
 
 
+def test_ladder_matches_a_naive_xadd_chain():
+    # [k + 1]P = xADD([k]P, P, [k - 1]P) from O = (1 : 0), P and [2]P, mod the
+    # prime 2**61 - 1; the ladder's two points must equal [k]P and [k + 1]P
+    # projectively, and neither may be the degenerate (0 : 0).
+    n = 2**61 - 1
+    rng = random.Random(61)
+    for _ in range(5):
+        x, a24 = rng.randrange(2, n), rng.randrange(2, n)
+        s, d = (x + 1) ** 2 % n, (x - 1) ** 2 % n
+        chain = [(1, 0), (x, 1), (s * d % n, (s - d) * (d + a24 * (s - d)) % n)]
+        while len(chain) < 102:
+            (xq, zq), (xd, zd) = chain[-1], chain[-2]
+            u, v = (xq - zq) * (x + 1), (xq + zq) * (x - 1)
+            chain.append((zd * (u + v) ** 2 % n, xd * (u - v) ** 2 % n))
+        for k in range(101):
+            x1, z1, x2, z2 = arith._ladder(k, x, 1, a24, n)
+            for (xa, za), (xb, zb) in (((x1, z1), chain[k]), ((x2, z2), chain[k + 1])):
+                assert (xa % n, za % n) != (0, 0)
+                assert (xa * zb - xb * za) % n == 0, (k, x, a24)
+
+
 def test_stage2_plan_pairs_exactly_the_primes_past_b1():
     # Each listed (m, b) has m*D - b or m*D + b prime in (B1, B2], and every
     # such prime is covered.

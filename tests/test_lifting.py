@@ -41,6 +41,8 @@ from ordlift.orders import (
     proj_order,
     remainder_gcd,
 )
+from oracles import is_prime as oracle_is_prime
+from oracles import random_prime
 
 
 def test_make_base_pair_accepts():
@@ -101,6 +103,68 @@ def test_valid_pairs_share_radical():
             assert radical(pair.n1) == radical(pair.n2)
             expected = TwoAdicCase.SMALL if valuation(n1, 2) <= 1 else TwoAdicCase.LARGE
             assert pair.two_adic_case is expected
+
+
+def _oracle_reason(n1, n2, rad):
+    """The reason BasePair(n1, n2) must give, or None, given rad(n1)."""
+    if n1 % n2:
+        return InvalidPairError.REASON_NOT_DIVISOR
+    if n2 % rad:
+        return InvalidPairError.REASON_RADICAL
+    if n1 % 4 == 0 and n2 % (2 * rad):
+        return InvalidPairError.REASON_TWO_ADIC
+    return None
+
+
+def _pair_reason(n1, n2):
+    try:
+        BasePair(n1, n2)
+    except InvalidPairError as exc:
+        return exc.reason
+    return None
+
+
+def test_base_pair_reasons_match_the_oracle_radical():
+    primes = [p for p in range(2, 601) if oracle_is_prime(p)]
+    for n1 in range(1, 601):
+        rad = math.prod(p for p in primes if n1 % p == 0)
+        for n2 in range(1, n1 + 1):
+            assert _pair_reason(n1, n2) == _oracle_reason(n1, n2, rad), (n1, n2)
+
+
+# The budget-fault input: a semiprime that the factoring schedule gives up on.
+_BUDGET_FAULT = 1631903435575911832850657892379182733
+
+
+def _forbid_split(monkeypatch):
+    """Make any factoring past trial division raise, so that a call that
+    returns has split nothing that is not already in the cache."""
+
+    def boom(n, exps):
+        raise AssertionError(f"_split({n}) reached")
+
+    monkeypatch.setattr(arith, "_split", boom)
+
+
+def test_base_pair_checks_without_factoring(monkeypatch):
+    arith._factor_pairs.cache_clear()
+    _forbid_split(monkeypatch)
+    bf = _BUDGET_FAULT
+    assert BasePair(bf, bf).two_adic_case is TwoAdicCase.SMALL
+    assert BasePair(4 * bf, 4 * bf).two_adic_case is TwoAdicCase.LARGE
+    for n1, n2, reason in (
+        (2 * bf, bf, InvalidPairError.REASON_RADICAL),
+        (4 * bf, 2 * bf, InvalidPairError.REASON_TWO_ADIC),
+    ):
+        with pytest.raises(InvalidPairError) as e:
+            BasePair(n1, n2)
+        assert e.value.reason == reason
+
+
+def test_base_pair_rejects_a_float_with_a_type_error():
+    for n1, n2 in ((24.0, 12.0), (9.0, 3.0)):
+        with pytest.raises(TypeError):
+            BasePair(n1, n2)
 
 
 def test_canonical_base_known_values():
@@ -176,11 +240,11 @@ def test_lift_beta_known_values():
 
 def test_lift_rejects_noncoprime():
     pair = make_base_pair(9, 3)
-    with pytest.raises(NotCoprimeError):
+    with pytest.raises(NotCoprimeError, match=r"lift_order undefined: gcd\(6, 9\)"):
         lift_order(pair, 6)
-    with pytest.raises(NotCoprimeError):
+    with pytest.raises(NotCoprimeError, match=r"lift_alpha undefined: gcd\(3, 9\)"):
         lift_alpha(pair, 3)
-    with pytest.raises(NotCoprimeError):
+    with pytest.raises(NotCoprimeError, match=r"lift_beta undefined: gcd\(12, 9\)"):
         lift_beta(pair, 12)
 
 
@@ -303,6 +367,30 @@ def test_admissible_bases():
     assert admissible_bases(30) == [30]
     assert admissible_bases(1) == [1]
     assert admissible_bases(72) == [12, 24, 36, 72]
+
+
+def test_admissible_bases_are_the_accepted_divisors():
+    for n in range(1, 2001):
+        accepted = [d for d in range(1, n + 1) if n % d == 0 and _pair_reason(n, d) is None]
+        assert admissible_bases(n) == accepted, n
+
+
+def test_admissible_bases_reads_one_factorization(monkeypatch):
+    # n1 = 2**5 p**3 q**2 r**2, 291 bits: 4 * 3 * 2 * 2 = 48 bases, read off
+    # the one factorization of n1 with no further splitting.
+    rng = random.Random(14)
+    p, q, r = (random_prime(rng, bits) for bits in (40, 48, 36))
+    n1 = 2**5 * p**3 * q**2 * r**2
+    assert arith.factorize(n1).factors == tuple(sorted({2: 5, p: 3, q: 2, r: 2}.items()))
+    _forbid_split(monkeypatch)
+    expected = sorted(
+        2**a * p**b * q**c * r**d
+        for a in range(2, 6)
+        for b in range(1, 4)
+        for c in range(1, 3)
+        for d in range(1, 3)
+    )
+    assert admissible_bases(n1) == expected and len(expected) == 48
 
 
 def test_verify_claims_small_sweep_passes():
