@@ -100,11 +100,9 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 # (psi_k, k): every odd composite n < psi_k fails the strong test to one of
 # the first k witnesses, and psi_k itself, a composite, passes all k (OEIS
-# A014233; Jaeschke 1993, Jiang-Deng 2014).  psi_8 = psi_7 and psi_10 =
-# psi_11 = psi_9, so those counts never pay.  The graded bases alone decide
-# only below psi_6, where they are at most six.  From psi_6 on is_prime runs
-# BPSW, and from 2^64 to psi_13 the rest of the graded bases follow it: 3..37
-# below psi_12 and 3..41 from there.
+# A014233; Jaeschke 1993).  The graded bases alone decide only below psi_6,
+# where they are at most six; from psi_6 on is_prime runs BPSW, and from
+# 2^64 to psi_13 the bases 3..41 follow it.
 _MR_BOUNDS = (
     (2047, 1),
     (1373653, 2),
@@ -112,9 +110,6 @@ _MR_BOUNDS = (
     (3215031751, 4),
     (2152302898747, 5),
     (3474749660383, 6),
-    (341550071728321, 7),
-    (3825123056546413051, 9),
-    (318665857834031151167461, 12),
 )
 
 # From psi_6 on, one strong Lucas test costs less than the seven or more
@@ -123,11 +118,11 @@ _MR_BOUNDS = (
 # 2-core x86-64 VM, Python 3.11).  Base 2 plus strong Lucas (BPSW) has no
 # counterexample below 2^64 (Feitsma's list of base-2 strong pseudoprimes,
 # checked by Gilchrist), so it is proven there, and from psi_13 on it is the
-# whole test.  From 2^64 to psi_13 the graded bases run after it and prove
+# whole test.  From 2^64 to psi_13 the bases 3..41 run after it and prove
 # the verdict, so there the Lucas test decides nothing: it only rejects a
 # strong pseudoprime to base 2, such as psi_12, before bases 3..41 run, and
 # every prime there pays for it (259 against 206 us at 80 bits).
-_BPSW_FROM = _MR_BOUNDS[5][0]
+_BPSW_FROM = _MR_BOUNDS[-1][0]
 _BPSW_PROVEN_BELOW = 1 << 64
 _PSI_13 = 3317044064679887385961981
 
@@ -159,29 +154,25 @@ def is_prime(n: int) -> bool:
     psi_k of OEIS A014233 (``_MR_BOUNDS``).  From psi_6 on it is BPSW
     (Baillie-Wagstaff 1980), a strong test to base 2 and then a strong Lucas
     test (``_strong_lucas``), proven below 2^64.  From 2^64 to psi_13 the
-    bases 3..37, and 41 from psi_12 ~ 3.19e23 on, follow it, so the verdict
-    is proven there too.  From psi_13 on BPSW is the whole test: no
-    composite is known to pass it, and psi_13, which passes all thirteen
-    bases, fails it.
+    bases 3..41 follow it, so the verdict is proven there too.  From psi_13
+    on BPSW is the whole test: no composite is known to pass it, and
+    psi_13, which passes all thirteen bases, fails it.
     """
     if n < 2:
         return False
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
-    witnesses = _MR_WITNESSES
-    for bound, k in _MR_BOUNDS:
-        if n < bound:
-            witnesses = _MR_WITNESSES[:k]
-            break
     if n < _BPSW_FROM:
-        return _strong_probable_prime(n, witnesses)
+        for bound, k in _MR_BOUNDS:
+            if n < bound:
+                return _strong_probable_prime(n, _MR_WITNESSES[:k])
     if not (_strong_probable_prime(n, (2,)) and _strong_lucas(n)):
         return False
     return (
         n < _BPSW_PROVEN_BELOW
         or n >= _PSI_13
-        or _strong_probable_prime(n, witnesses[1:])
+        or _strong_probable_prime(n, _MR_WITNESSES[1:])
     )
 
 

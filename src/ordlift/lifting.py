@@ -15,6 +15,10 @@ every route to one (the constructor, ``_make`` and ``_replace``, pickling
 and ``copy``), the way ``ZnSequence`` checks its own, so no pair that
 breaks them reaches the formulas; ``make_base_pair`` is the type itself.
 The checks factor nothing: rad(n1) | n2 exactly when n1 | n2**bits(n1).
+The lifts take a ``BasePair`` and nothing else, and raise TypeError for any
+other object, even one with fields n1 and n2, so they check no modulus
+again: each reduces a mod n1, refusing a that is not a unit, and takes the
+order at n2 and the divisor from the one step ``orders._lift_divisor``.
 This module applies the transfer formulas and the prime-power shortcuts;
 the law sweep that checks them is ``ordlift.laws``.  The order engine in
 ``orders`` applies the same lifting prime by prime, so the *_fast names are
@@ -28,14 +32,14 @@ from collections import namedtuple
 from enum import Enum
 
 from ordlift.arith import _factor_pairs, is_prime, radical
-from ordlift.errors import InvalidPairError, NotCoprimeError
+from ordlift.errors import InvalidPairError
 from ordlift.orders import (
+    _lift_divisor,
     _order_value,
     _reduced_coprime,
     alpha,
     beta,
     proj_order,
-    remainder_gcd,
 )
 
 __all__ = [
@@ -125,24 +129,26 @@ def admissible_bases(n1: int) -> list[int]:
     return sorted(bases)
 
 
+def _lift(name: str, pair: BasePair, a: int) -> tuple[int, int]:
+    """(order of a mod n2, gcd(n1, a**that order - 1)): the one lift step.
+    The pair has checked its moduli itself; a not coprime to n1 raises
+    NotCoprimeError naming the lift."""
+    if not isinstance(pair, BasePair):
+        raise TypeError(f"{name} requires a BasePair, got {type(pair).__name__}")
+    return _lift_divisor(_reduced_coprime(a, pair.n1, name), pair.n2, pair.n1)
+
+
 def lift_order(pair: BasePair, a: int) -> int:
     """Order of a mod n1 from the order mod n2:
     order(a, n1) = order(a, n2) * n1 / gcd(n1, a**order(a, n2) - 1)."""
-    try:
-        rg = remainder_gcd(a, pair.n2, pair.n1)
-    except NotCoprimeError:
-        msg = f"lift_order undefined: gcd({a}, {pair.n1}) != 1"
-        raise NotCoprimeError(msg) from None
-    # remainder_gcd has checked n2 | n1 and gcd(a, n1) = 1, so a is a unit mod n2.
-    return _order_value(a % pair.n2, pair.n2)[0] * (pair.n1 // rg)
+    d, rg = _lift("lift_order", pair, a)
+    return d * (pair.n1 // rg)
 
 
 def _lift_value(name: str, value, pair: BasePair, a: int) -> int:
     """The alpha/beta transfer: value at n2 divided by gcd(value, rg / n2)."""
+    rg = _lift(name, pair, a)[1]
     at_base = value(a, pair.n2)
-    if at_base == 0:
-        raise NotCoprimeError(f"{name} undefined: gcd({a}, {pair.n1}) != 1")
-    rg = remainder_gcd(a, pair.n2, pair.n1)
     return at_base // math.gcd(at_base, rg // pair.n2)
 
 

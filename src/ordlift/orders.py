@@ -29,9 +29,12 @@ there on, so the guard backs only a BPSW pseudoprime past psi_13; none is
 known.
 
 a**order(a) - 1 is a multiple of n that the lifting formulas consume, but it
-is never materialized: ``remainder_gcd`` extracts the needed gcd from a
+is never materialized: ``_lift_divisor`` extracts the needed gcd from a
 single power reduced mod the larger modulus, which is exact because
-gcd(n1, x) = gcd(n1, x mod n1).
+gcd(n1, x) = gcd(n1, x mod n1).  It is the one step every lift in
+``lifting`` takes at the base modulus: one engine call for the order there,
+returned with the gcd.  ``remainder_gcd`` is the same step behind the
+argument checks a caller without a ``BasePair`` needs.
 
 Only ``mult_order`` returns a record, the named tuple OrderRecord; every
 other function here returns the order as a plain int without building one.
@@ -181,14 +184,22 @@ def remainder_gcd(a: int, n2: int, n1: int) -> int:
             f"remainder_gcd requires n2 | n1, got ({n2}, {n1})",
             InvalidPairError.REASON_NOT_DIVISOR,
         )
-    r = _reduced_coprime(a, n1, "remainder_gcd")
-    o2 = _order_value(a % n2, n2)[0]
-    rg = math.gcd(pow(r, o2, n1) - 1, n1)
+    return _lift_divisor(_reduced_coprime(a, n1, "remainder_gcd"), n2, n1)[1]
+
+
+def _lift_divisor(r: int, n2: int, n1: int) -> tuple[int, int]:
+    """(d, rg): d the engine's order of r mod n2, rg = gcd(n1, r**d - 1).
+
+    The one step every lift takes at n2.  The caller guarantees n2 | n1 and
+    that r is a unit mod n1; rg not a multiple of n2 means d is wrong.
+    """
+    d = _order_value(r % n2, n2)[0]
+    rg = math.gcd(pow(r, d, n1) - 1, n1)
     if rg % n2:
         raise ArithmeticError(
             f"remainder gcd {rg} is not a multiple of the base modulus {n2}"
         )
-    return rg
+    return d, rg
 
 
 def proj_order(a: int, n: int) -> int:

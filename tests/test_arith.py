@@ -387,8 +387,9 @@ FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def test_witness_bounds_are_a014233():
-    # Every count skipped (8, 10, 11) has the same bound as the one below it.
-    assert arith._MR_BOUNDS == tuple((PSI[k], k) for k in (1, 2, 3, 4, 5, 6, 7, 9, 12))
+    # The graded bases decide only below psi_6; BPSW takes over there.
+    assert arith._MR_BOUNDS == tuple((PSI[k], k) for k in range(1, 7))
+    assert arith._BPSW_FROM == PSI[6]
     assert arith._MR_WITNESSES == FIRST_PRIMES
     assert PSI[8] == PSI[7] and PSI[10] == PSI[11] == PSI[9]
 
@@ -435,6 +436,19 @@ def test_is_prime_at_the_bpsw_seams():
     for seam in (PSI[6], 1 << 64, PSI[12], PSI[13]):
         for n in range(seam - 50, seam + 51):
             assert is_prime(n) == oracle_is_prime(n), n
+
+
+def test_is_prime_from_2_64_to_psi13_matches_thirteen_bases():
+    # The bases 3..41 follow BPSW across the whole range, on either side of
+    # psi_12.  The products of two such primes lie past psi_13, and each
+    # fails both tests.
+    rng = random.Random(2064)
+    primes = [random_prime(rng, rng.randint(65, 81)) for _ in range(300)]
+    assert all(1 << 64 <= p < PSI[13] for p in primes)
+    assert 0 < sum(p >= PSI[12] for p in primes) < len(primes)
+    products = [p * q for p, q in zip(primes, primes[1:])]
+    for n in primes + products:
+        assert is_prime(n) == is_prime_13_bases(n), n
 
 
 # OEIS A217255: the strong Lucas pseudoprimes for Selfridge's parameters.

@@ -7,6 +7,8 @@ import multiprocessing
 import os
 import random
 import time
+from collections import namedtuple
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -220,6 +222,36 @@ def test_lift_raises_on_a_wrong_order_at_the_base(monkeypatch):
     for lift in (lift_order, lift_alpha, lift_beta):
         with pytest.raises(ArithmeticError, match=message):
             lift(pair, 2)
+
+
+def test_each_lift_asks_the_engine_once_at_n2(monkeypatch):
+    # lift_order takes both d and rg from the one lift step; alpha and beta
+    # at n2 cost the lifted value one more engine call.
+    calls = []
+    real = orders._order_value
+
+    def counted(r, n):
+        calls.append((r, n))
+        return real(r, n)
+
+    monkeypatch.setattr(orders, "_order_value", counted)
+    monkeypatch.setattr(lifting, "_order_value", counted)
+    pair = make_base_pair(125, 5)
+    for lift, want in ((lift_order, 1), (lift_alpha, 2), (lift_beta, 2)):
+        calls.clear()
+        lift(pair, 7)
+        assert calls == [(2, 5)] * want, lift.__name__
+
+
+def test_lifts_refuse_a_pair_that_is_not_a_base_pair():
+    # Read off any object, (24, 6) would reach the formula unchecked, and
+    # lift_order would give 4 where the order of 7 mod 24 is 2.
+    for pair in (namedtuple("Pair", "n1 n2")(24, 6), SimpleNamespace(n1=24, n2=6)):
+        for lift in (lift_order, lift_alpha, lift_beta):
+            with pytest.raises(TypeError, match=f"{lift.__name__} requires a BasePair"):
+                lift(pair, 7)
+    # The check is the type: a BasePair built past its own checks still lifts.
+    assert lift_order(tuple.__new__(BasePair, (9, 3)), 2) == 6
 
 
 def test_lift_alpha_known_values():
